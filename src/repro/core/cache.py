@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..flash.device import EraseFailure, ProgramFailure
 from ..flash.geometry import PageAddress
@@ -223,17 +223,37 @@ class ScrubOutcome:
 
 
 class _RegionState:
-    """Bookkeeping for one cache region's blocks."""
+    """Bookkeeping for one cache region's blocks.
 
-    __slots__ = ("name", "free_blocks", "open_block", "open_free",
-                 "lru", "valid", "invalid", "reserve_block", "reserve_free")
+    ``lru`` maps each block with content, oldest first, to the page
+    capacity it is counted with; ``valid`` and ``invalid`` hold each
+    tracked block's valid pages and reclaimable page count.  Three
+    running totals replace full scans on the GC paths:
 
-    def __init__(self, name: Region) -> None:
+    * ``invalid_total`` is the sum of ``invalid``;
+    * ``lru_capacity`` is the summed capacity of the ``lru`` blocks;
+    * ``lru_valid`` is the summed valid-page count of the ``lru`` blocks.
+
+    Every change to ``lru``, ``valid`` or ``invalid`` goes through the
+    methods below, so the totals always equal the scans they replace.
+    Capacities come from ``capacity_of`` (the controller's memoised
+    :meth:`~ProgrammableFlashController.block_capacity_pages`);
+    :meth:`resize` re-reads one after the controller changes a layout.
+    """
+
+    __slots__ = ("name", "capacity_of", "free_blocks", "open_block",
+                 "open_free", "lru", "valid", "invalid", "reserve_block",
+                 "reserve_free", "invalid_total", "lru_capacity",
+                 "lru_valid")
+
+    def __init__(self, name: Region,
+                 capacity_of: Callable[[int], int]) -> None:
         self.name = name
+        self.capacity_of = capacity_of
         self.free_blocks: Deque[int] = deque()
         self.open_block: Optional[int] = None
         self.open_free: Deque[PageAddress] = deque()
-        self.lru: "OrderedDict[int, None]" = OrderedDict()
+        self.lru: "OrderedDict[int, int]" = OrderedDict()
         self.valid: Dict[int, Set[PageAddress]] = {}
         self.invalid: Dict[int, int] = {}
         # The reserve is a persistent GC log: garbage collection compacts
@@ -241,12 +261,109 @@ class _RegionState:
         # becomes an allocatable free block.
         self.reserve_block: Optional[int] = None
         self.reserve_free: Deque[PageAddress] = deque()
+        self.invalid_total = 0
+        self.lru_capacity = 0
+        self.lru_valid = 0
 
-    def total_invalid(self) -> int:
-        return sum(self.invalid.values())
+    # -- the LRU list -----------------------------------------------------
 
-    def blocks_with_content(self) -> List[int]:
-        return list(self.lru)
+    def enlist(self, block: int) -> None:
+        """Add ``block`` at the MRU end; a listed block keeps its place."""
+        if block not in self.lru:
+            capacity = self.capacity_of(block)
+            self.lru[block] = capacity
+            self.lru_capacity += capacity
+            self.lru_valid += len(self.valid.get(block, ()))
+
+    def close(self, block: int) -> None:
+        """List ``block`` (a filled open or reserve block) as the MRU."""
+        self.enlist(block)
+        self.lru.move_to_end(block)
+
+    def enlist_oldest(self, block: int) -> None:
+        """List ``block`` as the LRU, the next eviction candidate."""
+        self.enlist(block)
+        self.lru.move_to_end(block, last=False)
+
+    def touch(self, block: int) -> None:
+        self.lru.move_to_end(block)
+
+    def delist(self, block: int) -> None:
+        capacity = self.lru.pop(block, None)
+        if capacity is not None:
+            self.lru_capacity -= capacity
+            self.lru_valid -= len(self.valid.get(block, ()))
+
+    def resize(self, block: int) -> None:
+        """Re-read a listed block's capacity after a layout change."""
+        counted = self.lru.get(block)
+        if counted is not None:
+            capacity = self.capacity_of(block)
+            self.lru[block] = capacity
+            self.lru_capacity += capacity - counted
+
+    # -- per-block page accounting -------------------------------------------
+
+    def track(self, block: int) -> None:
+        """Start accounting for ``block`` (no-op when already tracked)."""
+        self.valid.setdefault(block, set())
+        self.invalid.setdefault(block, 0)
+
+    def forget(self, block: int) -> None:
+        """Drop every trace of ``block`` from this region."""
+        self.delist(block)
+        self.valid.pop(block, None)
+        self.invalid_total -= self.invalid.pop(block, 0)
+
+    def reset_block(self, block: int,
+                    pages: Optional[Set[PageAddress]] = None) -> None:
+        """Restart ``block``'s accounting: ``pages`` valid, none invalid."""
+        new_pages = pages if pages is not None else set()
+        old_pages = self.valid.get(block, ())
+        if block in self.lru:
+            self.lru_valid += len(new_pages) - len(old_pages)
+        self.valid[block] = new_pages
+        self.invalid_total -= self.invalid.get(block, 0)
+        self.invalid[block] = 0
+
+    def add_valid(self, address: PageAddress) -> None:
+        pages = self.valid.setdefault(address.block, set())
+        if address not in pages:
+            pages.add(address)
+            if address.block in self.lru:
+                self.lru_valid += 1
+
+    def invalidate(self, address: PageAddress) -> None:
+        """Turn a valid page into a reclaimable invalid one."""
+        block = address.block
+        pages = self.valid.get(block)
+        if pages is not None and address in pages:
+            pages.remove(address)
+            self.invalid[block] = self.invalid.get(block, 0) + 1
+            self.invalid_total += 1
+            if block in self.lru:
+                self.lru_valid -= 1
+
+    def discard_valid(self, address: PageAddress) -> None:
+        """Forget a valid page without booking its space as invalid."""
+        pages = self.valid.get(address.block)
+        if pages is not None and address in pages:
+            pages.remove(address)
+            if address.block in self.lru:
+                self.lru_valid -= 1
+
+    def discard_frame(self, block: int, frame: int) -> None:
+        """Forget the valid pages of a frame that went bad."""
+        pages = self.valid.get(block)
+        if pages:
+            doomed = {a for a in pages if a.frame == frame}
+            pages -= doomed
+            if block in self.lru:
+                self.lru_valid -= len(doomed)
+
+    def add_invalid(self, block: int, count: int) -> None:
+        self.invalid[block] += count
+        self.invalid_total += count
 
 
 class FlashDiskCache:
@@ -279,17 +396,18 @@ class FlashDiskCache:
         if num_blocks < 4:
             raise ValueError("Flash disk cache needs at least 4 blocks")
 
+        capacity_of = controller.block_capacity_pages
         if self.config.split:
             read_blocks = max(2, int(num_blocks * self.config.read_fraction))
             read_blocks = min(read_blocks, num_blocks - 2)
-            self._read = _RegionState(Region.READ)
-            self._write = _RegionState(Region.WRITE)
+            self._read = _RegionState(Region.READ, capacity_of)
+            self._write = _RegionState(Region.WRITE, capacity_of)
             for block in range(read_blocks):
                 self._read.free_blocks.append(block)
             for block in range(read_blocks, num_blocks):
                 self._write.free_blocks.append(block)
         else:
-            unified = _RegionState(Region.UNIFIED)
+            unified = _RegionState(Region.UNIFIED, capacity_of)
             for block in range(num_blocks):
                 unified.free_blocks.append(block)
             self._read = unified
@@ -299,11 +417,12 @@ class FlashDiskCache:
             region.reserve_block = region.free_blocks.popleft()
             region.reserve_free = deque(
                 self.controller.pages_of_block(region.reserve_block))
-            region.valid.setdefault(region.reserve_block, set())
-            region.invalid.setdefault(region.reserve_block, 0)
-        # The controller tells us whenever a block retires so capacity
-        # bookkeeping (and the degradation floor) stays exact.
+            region.track(region.reserve_block)
+        # The controller tells us whenever a block retires or its layout
+        # changes so capacity bookkeeping (and the degradation floor)
+        # stays exact.
         self.controller.retire_listener = self._on_block_retired
+        self.controller.layout_listener = self._on_layout_changed
         self._initial_pages = self.total_pages()
 
     def _regions(self) -> List[_RegionState]:
@@ -427,7 +546,7 @@ class FlashDiskCache:
     def _touch_block(self, block: int) -> None:
         for region in self._regions():
             if block in region.lru:
-                region.lru.move_to_end(block)
+                region.touch(block)
                 return
 
     # -- fills (read misses) -----------------------------------------------------
@@ -584,18 +703,14 @@ class FlashDiskCache:
                   region: _RegionState, tag: Region) -> None:
         self.fcht.insert(lba, address)
         self._location[lba] = tag
-        region.valid.setdefault(address.block, set()).add(address)
+        region.add_valid(address)
 
     def _drop_page(self, lba: int, address: PageAddress) -> None:
         """Invalidate a cached page everywhere it is tracked."""
         self.fcht.remove(lba)
         tag = self._location.pop(lba, None)
         region = self._write if tag is Region.WRITE else self._read
-        pages = region.valid.get(address.block)
-        if pages is not None and address in pages:
-            pages.remove(address)
-            region.invalid[address.block] = \
-                region.invalid.get(address.block, 0) + 1
+        region.invalidate(address)
         self.controller.invalidate(address)
         self.stats.invalidations += 1
 
@@ -615,9 +730,7 @@ class FlashDiskCache:
         self.fcht.remove(lba)
         tag = self._location.pop(lba, None)
         region = self._write if tag is Region.WRITE else self._read
-        pages = region.valid.get(address.block)
-        if pages is not None:
-            pages.discard(address)
+        region.discard_valid(address)
         if lba in self._dirty:
             self._dirty.discard(lba)
             self._orphan_dirty.add(lba)
@@ -652,10 +765,7 @@ class FlashDiskCache:
                 region.reserve_free = deque(
                     a for a in region.reserve_free
                     if not (a.block == block and a.frame == frame))
-            pages = region.valid.get(block)
-            if pages:
-                doomed = {a for a in pages if a.frame == frame}
-                pages -= doomed
+            region.discard_frame(block, frame)
 
     def _program_with_remap(
             self, region: _RegionState,
@@ -693,8 +803,7 @@ class FlashDiskCache:
             if self.controller.is_retired(block):
                 continue
             region.reserve_block = block
-            region.valid.setdefault(block, set())
-            region.invalid.setdefault(block, 0)
+            region.track(block)
             return block
         return None
 
@@ -715,9 +824,7 @@ class FlashDiskCache:
                 entry = self.controller.fpst.get(address)
                 if entry is not None and entry.lba is not None:
                     self._fault_drop(entry.lba, address)
-            region.valid.pop(block, None)
-            region.invalid.pop(block, None)
-            region.lru.pop(block, None)
+            region.forget(block)
             if block in region.free_blocks:
                 region.free_blocks = deque(
                     b for b in region.free_blocks if b != block)
@@ -728,6 +835,11 @@ class FlashDiskCache:
                 region.reserve_block = None
                 region.reserve_free = deque()
         self._check_degradation()
+
+    def _on_layout_changed(self, block: int) -> None:
+        """Controller layout callback: re-count the block's capacity."""
+        for region in self._regions():
+            region.resize(block)
 
     def _check_degradation(self) -> None:
         if not self.degraded \
@@ -760,8 +872,7 @@ class FlashDiskCache:
         while not region.open_free:
             if region.open_block is not None:
                 # Open block is full: close it into the LRU set.
-                region.lru[region.open_block] = None
-                region.lru.move_to_end(region.open_block)
+                region.close(region.open_block)
                 region.open_block = None
             if region.free_blocks:
                 slc = (self.config.write_region_slc
@@ -771,7 +882,7 @@ class FlashDiskCache:
                 continue
             block_capacity = self._nominal_block_pages()
             collected = False
-            if region.total_invalid() >= block_capacity \
+            if region.invalid_total >= block_capacity \
                     or not self.config.allow_eviction_for_space:
                 collected = self._garbage_collect(region)
             if not collected:
@@ -821,8 +932,7 @@ class FlashDiskCache:
             return False
         region.open_block = block
         region.open_free = deque(pages)
-        region.valid.setdefault(block, set())
-        region.invalid.setdefault(block, 0)
+        region.track(block)
         return True
 
     def _format_block_slc(self, block: int) -> Tuple[float, bool]:
@@ -903,7 +1013,7 @@ class FlashDiskCache:
             self.stats.gc_page_moves += 1
             if lba is not None:
                 self.fcht.insert(lba, target)
-            region.valid.setdefault(reserve, set()).add(target)
+            region.add_valid(target)
         erase_latency, erase_ok = self._try_erase(victim)
         elapsed += erase_latency
         # The erased victim becomes the new spare; the partially filled
@@ -918,23 +1028,21 @@ class FlashDiskCache:
         reserve_alive = region.reserve_block == reserve
         if erase_ok and not (self._fault_aware
                              and self.controller.is_retired(victim)):
-            region.lru.pop(victim, None)
-            region.valid[victim] = set()
-            region.invalid[victim] = 0
+            region.delist(victim)
+            region.reset_block(victim)
             region.reserve_block = victim
         elif reserve_alive:
             # Victim died: the old reserve now carries content, so it must
             # leave reserve duty; a replacement is adopted on the next GC.
             region.reserve_block = None
         if reserve_alive:
-            region.invalid.setdefault(reserve, 0)
+            region.track(reserve)
             if region.open_block is None:
                 region.open_block = reserve
                 region.open_free = remaining
             else:
-                region.lru[reserve] = None
-                region.lru.move_to_end(reserve)
-                region.invalid[reserve] += len(remaining)
+                region.close(reserve)
+                region.add_invalid(reserve, len(remaining))
         self.stats.gc_time_us += elapsed
         if self.telemetry is not None:
             self.telemetry.gc(elapsed,
@@ -986,9 +1094,8 @@ class FlashDiskCache:
         self.stats.foreground_time_us += erase_latency
         if erase_ok and not (self._fault_aware
                              and self.controller.is_retired(victim)):
-            region.lru.pop(victim, None)
-            region.valid[victim] = set()
-            region.invalid[victim] = 0
+            region.delist(victim)
+            region.reset_block(victim)
             region.free_blocks.append(victim)
         # On erase failure (or a mid-erase retirement) the retire listener
         # already removed the block; its capacity is simply gone.
@@ -1071,22 +1178,19 @@ class FlashDiskCache:
             return None
         # Victim block now carries the newest block's content and takes its
         # place in the newest block's region LRU.
-        newest_region.lru.pop(newest, None)
-        newest_region.lru[victim] = None
-        newest_region.valid[victim] = moved
-        newest_region.invalid[victim] = 0
-        victim_region.lru.pop(victim, None)
-        if newest_region is not victim_region:
-            victim_region.valid.pop(victim, None)
-            victim_region.invalid.pop(victim, None)
+        newest_region.forget(newest)
+        newest_region.enlist(victim)
+        newest_region.reset_block(victim, moved)
+        if newest_region is victim_region:
+            # Within one region the victim, now holding the moved pages,
+            # leaves the LRU list: the historical bookkeeping, kept as is.
+            victim_region.delist(victim)
+        else:
+            victim_region.forget(victim)
         # The newest block is erased by the caller as the actual victim; it
         # joins the requesting region at the LRU end.
-        newest_region.valid.pop(newest, None)
-        newest_region.invalid.pop(newest, None)
-        victim_region.lru[newest] = None
-        victim_region.lru.move_to_end(newest, last=False)
-        victim_region.valid[newest] = set()
-        victim_region.invalid[newest] = 0
+        victim_region.enlist_oldest(newest)
+        victim_region.reset_block(newest)
         return newest
 
     def _global_newest_block(self, exclude: Set[int]) -> Optional[int]:
@@ -1112,15 +1216,11 @@ class FlashDiskCache:
 
     def _maybe_gc_read_region(self) -> None:
         region = self._read
-        capacity = sum(
-            self.controller.block_capacity_pages(block)
-            for block in region.lru
-        )
+        capacity = region.lru_capacity
         if capacity == 0:
             return
-        valid = sum(len(region.valid.get(block, set())) for block in region.lru)
-        if valid / capacity < self.config.gc_read_watermark \
-                and region.total_invalid() >= self._nominal_block_pages():
+        if region.lru_valid / capacity < self.config.gc_read_watermark \
+                and region.invalid_total >= self._nominal_block_pages():
             self._garbage_collect(region)
 
     # -- hot-page promotion (section 5.2.2) ----------------------------------------------
@@ -1189,8 +1289,7 @@ class FlashDiskCache:
         block = region.free_blocks.popleft()
         # Close the current open block before switching to the SLC one.
         if region.open_block is not None:
-            region.lru[region.open_block] = None
-            region.lru.move_to_end(region.open_block)
+            region.close(region.open_block)
         if not self._open_block(region, block, slc=True):
             return None  # formatting failed; skip the promotion
         return region.open_free.popleft()

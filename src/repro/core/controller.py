@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..ecc.latency import AcceleratorConfig, BCHLatencyModel
 from ..flash.device import DeviceOp, EraseFailure, FlashDevice, ProgramFailure
@@ -183,13 +183,22 @@ class ProgrammableFlashController:
         #: Invoked with the block index whenever a block retires, so the
         #: cache layer can pull it from service and shrink its capacity.
         self.retire_listener: Optional[Callable[[int], None]] = None
+        #: Invoked with the block index whenever the block's page layout
+        #: may have changed (a frame went bad, a density switch was
+        #: applied at erase, or the block retired), after the change, so
+        #: the cache layer can re-read the block's capacity.
+        self.layout_listener: Optional[Callable[[int], None]] = None
         # Pending density changes keyed by (block, frame), applied at erase.
         self._pending_modes: Dict[tuple[int, int], CellMode] = {}
         # Frames with program-status failures: permanently out of service.
         self._bad_frames: Set[tuple[int, int]] = set()
-        # Per-block page-capacity memo; capacity only moves when a frame
-        # goes bad or an erase applies a pended density change, so those
-        # paths invalidate and everyone else reads the memo.
+        # Per-block page-layout and page-capacity memos; both only move
+        # when a frame goes bad, an erase applies a pended density change
+        # or the block retires, so those paths call _forget_layout and
+        # everyone else reads the memos.
+        self._block_pages: Dict[int, Tuple[PageAddress, ...]] = {}
+        self._pages_per_frame: Dict[CellMode, int] = {
+            mode: device.geometry.pages_per_frame(mode) for mode in CellMode}
         self._block_capacity: Dict[int, int] = {}
         self._program_fail_counts: Dict[int, int] = {}
         self._decode_cache: Dict[int, float] = {}
@@ -339,7 +348,7 @@ class ProgrammableFlashController:
         key = (address.block, address.frame)
         if key not in self._bad_frames:
             self._bad_frames.add(key)
-            self._block_capacity.pop(address.block, None)
+            self._forget_layout(address.block)
             self.stats.frames_marked_bad += 1
             # The frame's pages leave the address space.  Only *invalid*
             # entries drop immediately: valid ones keep their LBA
@@ -369,9 +378,6 @@ class ProgrammableFlashController:
             for (blk, frame), mode in list(self._pending_modes.items())
             if blk == block
         }
-        if new_modes:
-            # The applied density switch changes the block's page count.
-            self._block_capacity.pop(block, None)
         # Capture the *pre-erase* page layout: an MLC->SLC switch halves
         # the address space and the vanished subpage-1 entries must drop.
         stale_pages = self.pages_of_block(block)
@@ -385,35 +391,38 @@ class ProgrammableFlashController:
             raise
         for frame in new_modes:
             del self._pending_modes[(block, frame)]
+        if new_modes:
+            # The applied density switch changes the block's layout; only
+            # now, after the device erase, is the new layout observable.
+            self._forget_layout(block)
         fbst_entry = self.fbst.entry(block)
         fbst_entry.erase_count = result.erase_count
-        geometry = self.device.geometry
+        modes = self.device.block_frame_modes(block)
+        fbst_entry.total_slc_pages = modes.count(CellMode.SLC)
+        live_subpages = self._pages_per_frame
         # ECC strength and density mode describe the *physical* page's wear
         # state, so they persist across the erase; contents-related fields
-        # (validity, LBA, hotness) reset.
-        fbst_entry.total_ecc = 0
-        fbst_entry.total_slc_pages = 0
-        for frame in range(geometry.frames_per_block):
-            mode = self.device.frame_mode(block, frame)
-            if mode is CellMode.SLC:
-                fbst_entry.total_slc_pages += 1
-            live_subpages = geometry.pages_per_frame(mode)
-            for address in (a for a in stale_pages if a.frame == frame):
-                if address.subpage >= live_subpages:
-                    self.fpst.drop(address)
-                    continue
-                entry = self.fpst.get(address)
-                if entry is None:
-                    continue
-                entry.valid = False
-                entry.lba = None
-                entry.access_count = 0
-                entry.mode = mode
-                # The wear signal is strength *added* over the lifetime
-                # default, matching the incremental accounting done when a
-                # reconfiguration happens between erases.
-                fbst_entry.total_ecc += max(
-                    entry.ecc_strength - self.config.initial_ecc_strength, 0)
+        # (validity, LBA, hotness) reset.  The layout is frame-major, so
+        # one pass visits the pages frame by frame, in subpage order.
+        total_ecc = 0
+        initial_strength = self.config.initial_ecc_strength
+        for address in stale_pages:
+            mode = modes[address.frame]
+            if address.subpage >= live_subpages[mode]:
+                self.fpst.drop(address)
+                continue
+            entry = self.fpst.get(address)
+            if entry is None:
+                continue
+            entry.valid = False
+            entry.lba = None
+            entry.access_count = 0
+            entry.mode = mode
+            # The wear signal is strength *added* over the lifetime
+            # default, matching the incremental accounting done when a
+            # reconfiguration happens between erases.
+            total_ecc += max(entry.ecc_strength - initial_strength, 0)
+        fbst_entry.total_ecc = total_ecc
         self.stats.erases += 1
         return result.latency_us
 
@@ -558,7 +567,7 @@ class ProgrammableFlashController:
         entry = self.fbst.entry(block)
         if not entry.retired:
             entry.retired = True
-            self._block_capacity.pop(block, None)
+            self._forget_layout(block)
             self.stats.blocks_retired += 1
             if self.telemetry is not None:
                 self.telemetry.retire(block)
@@ -571,20 +580,33 @@ class ProgrammableFlashController:
 
     # -- queries used by the cache layer ---------------------------------------
 
-    def pages_of_block(self, block: int) -> List[PageAddress]:
-        """All page addresses the block offers under current frame modes.
+    def pages_of_block(self, block: int) -> Tuple[PageAddress, ...]:
+        """All page addresses the block offers under current frame modes,
+        frame by frame in subpage order.
 
         Frames marked bad by program failures are excluded — their pages
-        have left the address space.
+        have left the address space.  The tuple is memoised per block
+        and shared by every caller until the layout changes.
         """
-        geometry = self.device.geometry
+        cached = self._block_pages.get(block)
+        if cached is not None:
+            return cached
         pages: List[PageAddress] = []
         for frame, mode in enumerate(self.device.block_frame_modes(block)):
             if (block, frame) in self._bad_frames:
                 continue
-            for subpage in range(geometry.pages_per_frame(mode)):
+            for subpage in range(self._pages_per_frame[mode]):
                 pages.append(PageAddress(block, frame, subpage))
-        return pages
+        layout = tuple(pages)
+        self._block_pages[block] = layout
+        return layout
+
+    def _forget_layout(self, block: int) -> None:
+        """Drop the block's layout and capacity memos after a change."""
+        self._block_pages.pop(block, None)
+        self._block_capacity.pop(block, None)
+        if self.layout_listener is not None:
+            self.layout_listener(block)
 
     def block_capacity_pages(self, block: int) -> int:
         """Logical pages the block offers, net of bad frames."""

@@ -6,7 +6,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cache import FlashCacheConfig, Region
+from repro.core.cache import FlashCacheConfig, FlashDiskCache, Region
+from repro.core.controller import ControllerConfig, ProgrammableFlashController
+from repro.faults import FaultConfig, FaultInjector
+from repro.flash.device import FlashDevice
+from repro.flash.geometry import FlashGeometry, PageAddress
 from repro.flash.timing import CellMode
 
 from .conftest import make_cache
@@ -273,3 +277,117 @@ class TestInvariants:
         for lba, address in cache.fcht.items():
             assert address not in seen.values()
             seen[lba] = address
+
+
+def assert_counters_match_scans(cache):
+    """Every running region total equals the full scan it replaced."""
+    capacity_of = cache.controller.block_capacity_pages
+    for region in cache._regions():
+        assert region.invalid_total == sum(region.invalid.values())
+        assert region.lru_capacity == sum(
+            capacity_of(block) for block in region.lru)
+        assert region.lru_valid == sum(
+            len(region.valid.get(block, ())) for block in region.lru)
+        assert all(counted == capacity_of(block)
+                   for block, counted in region.lru.items())
+
+
+class TestRegionCounters:
+    """The O(1) occupancy totals behind the GC triggers never drift."""
+
+    @staticmethod
+    def build(split, faults, hot_promotion, write_region_slc, seed):
+        injector = FaultInjector(FaultConfig(
+            read_disturb_rate=0.05, program_fail_rate=0.03,
+            erase_fail_rate=0.02, seed=seed)) if faults else None
+        device = FlashDevice(
+            geometry=FlashGeometry(frames_per_block=4, num_blocks=10),
+            initial_mode=CellMode.MLC, seed=seed, fault_injector=injector)
+        # A low saturation point makes hot-page promotions reachable.
+        controller = ProgrammableFlashController(
+            device, config=ControllerConfig(counter_max=2))
+        return FlashDiskCache(controller, FlashCacheConfig(
+            split=split, hot_promotion=hot_promotion,
+            write_region_slc=write_region_slc, wear_threshold=2.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(split=st.booleans(), faults=st.booleans(),
+           hot_promotion=st.booleans(), write_region_slc=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2**16),
+           operations=st.lists(
+               st.tuples(st.sampled_from(["read", "fill", "write"]),
+                         st.integers(min_value=0, max_value=60)),
+               min_size=1, max_size=150))
+    def test_property_counters_equal_scans(self, split, faults,
+                                           hot_promotion, write_region_slc,
+                                           seed, operations):
+        cache = self.build(split, faults, hot_promotion, write_region_slc,
+                           seed)
+        assert_counters_match_scans(cache)
+        for op, lba in operations:
+            if op == "read":
+                if cache.read(lba) is None:
+                    cache.insert_clean(lba)
+            elif op == "fill":
+                cache.insert_clean(lba)
+            else:
+                cache.write(lba)
+            assert_counters_match_scans(cache)
+
+    def test_wear_swap_moves_uneven_blocks(self):
+        cache = make_cache(num_blocks=8, wear_threshold=5.0)
+        region = cache._read
+        for lba in range(cache.total_pages()):
+            cache.insert_clean(lba)
+        victim, newest = list(region.lru)[:2]
+        # Rewrites leave the newest block with fewer valid pages than
+        # the victim and some invalid ones.
+        for address in sorted(region.valid[newest],
+                              key=lambda a: (a.frame, a.subpage))[:2]:
+            cache.write(cache.controller.fpst.entry(address).lba)
+        cache.controller.fbst.entry(victim).erase_count = 1000
+        assert region.invalid[newest] == 2
+        before = cache.stats.wear_swaps
+        cache.insert_clean(10_000)
+        assert cache.stats.wear_swaps == before + 1
+        assert_counters_match_scans(cache)
+
+    def test_bad_frame_in_listed_block_during_wear_swap(self):
+        injector = FaultInjector(FaultConfig())
+        device = FlashDevice(
+            geometry=FlashGeometry(frames_per_block=4, num_blocks=8),
+            initial_mode=CellMode.MLC, fault_injector=injector)
+        cache = FlashDiskCache(ProgrammableFlashController(device),
+                               FlashCacheConfig(hot_promotion=False,
+                                                wear_threshold=5.0))
+        region = cache._read
+        for lba in range(cache.total_pages()):
+            cache.insert_clean(lba)
+        victim = next(iter(region.lru))
+        cache.controller.fbst.entry(victim).erase_count = 1000
+        # Migrating the newest block into the listed victim hits a frame
+        # that fails to program; the victim still holds valid pages there.
+        injector.program_fault = \
+            lambda block, frame: (block, frame) == (victim, 0)
+        assert any(a.frame == 0 for a in region.valid[victim])
+        before = cache.stats.wear_swaps
+        cache.insert_clean(10_000)
+        assert cache.stats.wear_swaps == before + 1
+        assert cache.controller.is_bad_frame(victim, 0)
+        assert_counters_match_scans(cache)
+
+    def test_density_switch_on_listed_block_resizes(self):
+        cache = make_cache(num_blocks=8)
+        for lba in range(cache.total_pages()):
+            cache.insert_clean(lba)
+        region = cache._read
+        block = next(iter(region.lru))
+        before = region.lru_capacity
+        cache.controller.request_slc(PageAddress(block, 0, 0))
+        cache.controller.erase(block)
+        # The erase ran outside the cache; the layout callback alone
+        # keeps the listed capacity in step with the controller.
+        assert region.lru[block] == cache.controller.block_capacity_pages(
+            block)
+        assert region.lru_capacity == before - 1
+        assert_counters_match_scans(cache)

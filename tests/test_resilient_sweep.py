@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -494,9 +495,11 @@ class TestParentKillChaos:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        # A session of its own makes the CLI lead a process group that
+        # also holds its pool workers, so they can be reaped together.
         return subprocess.Popen(
             [sys.executable, "-m", "repro", "sweep", *self.ARGS, *extra],
-            cwd=REPO_ROOT, env=env,
+            cwd=REPO_ROOT, env=env, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
     def test_sigkilled_sweep_resumes_byte_identical(self, tmp_path):
@@ -522,8 +525,14 @@ class TestParentKillChaos:
             else:
                 pytest.fail("journal never accumulated a completed task")
         finally:
+            # The crash under test kills the parent alone; its pool
+            # workers outlive it and are reaped with the group afterwards.
             proc.kill()
             proc.wait(timeout=60)
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the workers had already exited
 
         proc = self._cli("--resume", str(journal), "--out", str(resumed))
         assert proc.wait(timeout=300) == 0
