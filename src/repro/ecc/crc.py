@@ -2,7 +2,7 @@
 
 Section 4.1.2 of the paper pairs the BCH corrector with a CRC32 checker
 because BCH codes cannot always *detect* error patterns heavier than their
-design strength ``t`` — the Chien search can return a full set of bogus
+design strength ``t`` — the error locator can have a full set of bogus
 roots (a false positive).  The controller therefore stores a CRC32 of each
 page's payload in the spare area (4 of the 64 bytes) and validates it after
 BCH correction.

@@ -8,13 +8,16 @@ complete, self-contained implementation of that arithmetic:
   log/antilog tables for O(1) multiplication, division, inversion and
   exponentiation.
 * :class:`GF2Poly` — dense polynomials over GF(2) (bit-packed in an ``int``),
-  used to build BCH generator polynomials and perform systematic encoding.
+  used to build BCH generator polynomials and the encoder's byte table.
 * :class:`GFPoly` — polynomials with coefficients in GF(2^m), used by the
-  Berlekamp–Massey and Chien-search decoding stages.
+  Berlekamp–Massey decoding stage.  :meth:`GFPoly.distinct_roots` finds
+  the roots of an error locator with the Berlekamp trace algorithm, in
+  O(m·d²) field operations for a degree-d polynomial, independent of the
+  block length.
 
-The implementation favours clarity over raw speed; pages are 2KB and the
-simulator only encodes/decodes when an experiment genuinely needs functional
-coding, so Python-level arithmetic is acceptable.
+Everything is pure Python.  The per-page work of the BCH codec lives in
+table-driven kernels (:mod:`repro.ecc.bch`); the bit-serial
+:meth:`GF2Poly.mod` is used only while a code is constructed.
 """
 
 from __future__ import annotations
@@ -324,8 +327,7 @@ class GFPoly:
     """A polynomial with coefficients in GF(2^m), low-order first.
 
     Used for the decoder-side objects of BCH decoding: the error-locator
-    polynomial produced by Berlekamp–Massey and the evaluation sweep of the
-    Chien search.
+    polynomial produced by Berlekamp–Massey and its roots.
     """
 
     __slots__ = ("field", "coeffs")
@@ -396,6 +398,34 @@ class GFPoly:
         ]
         return GFPoly(self.field, coeffs)
 
+    def distinct_roots(self) -> List[int]:
+        """The distinct roots of the polynomial in GF(2^m), unordered.
+
+        Berlekamp's trace algorithm.  With ``f`` the monic form of degree
+        ``d``, the Frobenius powers ``x^(2^i) mod f`` for ``i = 0..m``
+        give ``h = gcd(f, x^(2^m) - x)``, the product of ``(x - r)`` over
+        the distinct roots ``r`` of ``f`` in the field.  ``h`` is then
+        split by ``gcd(h, Tr(beta·x) mod h)`` for ``beta`` running over
+        the basis ``1, alpha, .., alpha^(m-1)``: the trace is 0 or 1 at
+        every field element, and two distinct roots differ in the trace
+        of some basis multiple.  Each ``Tr(beta·x) mod f`` is built once
+        from the Frobenius powers and reduced modulo every factor that
+        needs it.  Cost is O(m·d²) field operations.
+        """
+        field = self.field
+        if self.is_zero():
+            raise ValueError("the zero polynomial vanishes everywhere")
+        if self.degree < 1:
+            return []
+        exp, log, size = field._exp, field._log, field.size
+        f = _monic(self.coeffs, exp, log, size)
+        x = _divmod([0, 1], f, exp, log)[1]
+        frobenius = [x]
+        for _ in range(field.m):
+            frobenius.append(_square_mod(frobenius[-1], f, exp, log))
+        split = _gcd(f, _add(frobenius.pop(), x), exp, log, size)
+        return _split_roots(split, _Traces(frobenius, field), 0)
+
     def _check_field(self, other: "GFPoly") -> None:
         if other.field != self.field:
             raise ValueError("polynomials belong to different fields")
@@ -409,3 +439,127 @@ class GFPoly:
 
     def __repr__(self) -> str:
         return f"GFPoly(m={self.field.m}, coeffs={self.coeffs})"
+
+
+# -- coefficient-list kernels of GFPoly.distinct_roots -----------------------
+#
+# Polynomials are low-order-first lists of field elements with no trailing
+# zeros (``[]`` is zero).  ``exp``/``log``/``size`` are a field's tables;
+# ``exp`` is doubled, so ``exp[log a + log b]`` needs no modulo.
+
+def _add(a: List[int], b: List[int]) -> List[int]:
+    """Sum (== difference) of two polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    total = list(a)
+    for i, coeff in enumerate(b):
+        total[i] ^= coeff
+    while total and total[-1] == 0:
+        total.pop()
+    return total
+
+
+def _monic(a: List[int], exp: List[int], log: List[int],
+           size: int) -> List[int]:
+    """Scale a nonzero polynomial so its leading coefficient is 1."""
+    lead = a[-1]
+    if lead == 1:
+        return list(a)
+    inverse = size - log[lead]
+    return [exp[log[c] + inverse] if c else 0 for c in a]
+
+
+def _divmod(a: List[int], f: List[int], exp: List[int],
+            log: List[int]) -> tuple[List[int], List[int]]:
+    """Quotient and remainder of ``a`` by a monic ``f``."""
+    degree = len(f) - 1
+    tail = [(j, log[c]) for j, c in enumerate(f[:degree]) if c]
+    remainder = list(a)
+    quotient = [0] * max(len(a) - degree, 0)
+    for i in range(len(a) - 1, degree - 1, -1):
+        coeff = remainder[i]
+        if coeff:
+            quotient[i - degree] = coeff
+            lead = log[coeff]
+            base = i - degree
+            for j, log_f in tail:
+                remainder[base + j] ^= exp[lead + log_f]
+    del remainder[degree:]
+    while remainder and remainder[-1] == 0:
+        remainder.pop()
+    return quotient, remainder
+
+
+def _square_mod(a: List[int], f: List[int], exp: List[int],
+                log: List[int]) -> List[int]:
+    """``a² mod f``: squaring in characteristic 2 squares each term."""
+    if not a:
+        return []
+    square = [0] * (2 * len(a) - 1)
+    for i, coeff in enumerate(a):
+        if coeff:
+            square[2 * i] = exp[2 * log[coeff]]
+    return _divmod(square, f, exp, log)[1]
+
+
+def _gcd(a: List[int], b: List[int], exp: List[int], log: List[int],
+         size: int) -> List[int]:
+    """Monic greatest common divisor; ``a`` must be nonzero."""
+    while b:
+        b = _monic(b, exp, log, size)
+        a, b = b, _divmod(a, b, exp, log)[1]
+    return _monic(a, exp, log, size)
+
+
+class _Traces:
+    """``Tr(alpha^k · x) mod f`` for basis index ``k``, built on first use.
+
+    ``frobenius[i]`` is ``x^(2^i) mod f``; the trace is
+    ``sum_i alpha^(k·2^i) x^(2^i)``.  Any factor of ``f`` reduces it
+    further with one division.
+    """
+
+    def __init__(self, frobenius: List[List[int]], field: GF2m):
+        self.frobenius = frobenius
+        self.field = field
+        self._built: dict[int, List[int]] = {}
+
+    def modulo(self, power: int, h: List[int]) -> List[int]:
+        field = self.field
+        exp, log = field._exp, field._log
+        trace = self._built.get(power)
+        if trace is None:
+            trace = [0] * max(len(frob) for frob in self.frobenius)
+            for i, frob in enumerate(self.frobenius):
+                scale = (power << i) % field.size
+                for j, coeff in enumerate(frob):
+                    if coeff:
+                        trace[j] ^= exp[scale + log[coeff]]
+            while trace and trace[-1] == 0:
+                trace.pop()
+            self._built[power] = trace
+        return _divmod(trace, h, exp, log)[1]
+
+
+def _split_roots(h: List[int], traces: _Traces, basis: int) -> List[int]:
+    """Roots of a monic ``h`` that splits into distinct linear factors.
+
+    Every root of ``h`` shares the trace of ``alpha^j · r`` for
+    ``j < basis``, so the search for a separating basis element starts
+    at ``basis``.
+    """
+    if len(h) <= 2:
+        # x + r has the root r (characteristic 2); a constant has none.
+        return h[:1] if len(h) == 2 else []
+    field = traces.field
+    exp, log, size = field._exp, field._log, field.size
+    for power in range(basis, field.m):
+        trace = traces.modulo(power, h)
+        if not trace:
+            continue
+        factor = _gcd(h, trace, exp, log, size)
+        if 1 < len(factor) < len(h):
+            cofactor = _divmod(h, factor, exp, log)[0]
+            return (_split_roots(factor, traces, power + 1)
+                    + _split_roots(cofactor, traces, power + 1))
+    raise AssertionError("polynomial has a repeated or non-field root")

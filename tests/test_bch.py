@@ -4,6 +4,7 @@ paper's 2KB-page budget (section 4.1)."""
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,8 @@ from repro.ecc.bch import (
     parity_bits_required,
     parity_bytes_required,
 )
+
+from .bch_reference import ReferenceBCH
 
 
 class TestParameters:
@@ -185,6 +188,22 @@ class TestDecoding:
         assert decoded == payload
         assert corrected == 2
 
+    def test_parity_padding_bits_are_ignored(self):
+        """15 parity bits fill two spare bytes; bit 15 is padding and must
+        never reach the message."""
+        code = BCHCode(15, 1, data_bits=64)
+        assert code.params.parity_bits == 15
+        assert code.params.parity_bytes == 2
+        for fill in (0x00, 0xFF):
+            payload = bytes([fill]) * 8
+            _, parity = code.encode(payload)
+            padded = (int.from_bytes(parity, "little") | 1 << 15).to_bytes(
+                2, "little")
+            assert code.decode(payload, padded) == (payload, 0)
+            # One real error on message bit 0 stays one correctable error.
+            corrupted = bytes([fill ^ 0x01]) + payload[1:]
+            assert code.decode(corrupted, padded) == (payload, 1)
+
 
 @settings(max_examples=25, deadline=None)
 @given(message=st.integers(min_value=0, max_value=(1 << 113) - 1),
@@ -238,3 +257,101 @@ class TestPageCodec:
     def test_impossible_page_rejected(self):
         with pytest.raises(ValueError):
             design_code_for_page(1 << 16, 12)
+
+
+# -- differential tests against the bit-serial reference kernels -------------
+
+@lru_cache(maxsize=128)
+def _code(m, t, data_bits=None):
+    return BCHCode(m, t, data_bits=data_bits)
+
+
+def _decode_outcome(decoder, word):
+    try:
+        return decoder(word)
+    except BCHDecodeFailure as failure:
+        return ("BCHDecodeFailure", str(failure))
+
+
+def _assert_matches_reference(code, message, errors):
+    """Identical parity, syndromes and decode outcome on both paths."""
+    reference = ReferenceBCH(code)
+    codeword = code.encode_bits(message)
+    assert codeword == reference.encode_bits(message)
+    word = codeword
+    for position in errors:
+        word ^= 1 << position
+    assert code.syndromes(word) == reference.syndromes(word)
+    outcome = _decode_outcome(code.decode_bits, word)
+    assert outcome == _decode_outcome(reference.decode_bits, word)
+    return outcome
+
+
+@st.composite
+def _codes(draw):
+    """m = 3..10 with every valid t, half the draws in the paper's 1..12;
+    t = 2^(m-1) - 1 is the last t with a message bit (k = 1)."""
+    m = draw(st.sampled_from(range(3, 11)))
+    t_max = (1 << (m - 1)) - 1
+    t = draw(st.one_of(st.sampled_from(range(1, min(12, t_max) + 1)),
+                       st.sampled_from(range(1, t_max + 1))))
+    k = _code(m, t).params.k
+    data_bits = draw(st.one_of(st.none(),
+                               st.integers(min_value=1, max_value=k)))
+    return _code(m, t, data_bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(code=_codes(), data=st.data())
+def test_kernels_match_bit_serial_reference(code, data):
+    """Table-driven encoder, remainder syndromes and trace-algorithm roots
+    agree with bit-serial division, per-bit syndromes and the Chien sweep,
+    for 0..t+3 errors (half the draws beyond t): the same codeword, or
+    the same failure."""
+    n, k, t = code.params.n, code.params.k, code.t
+    message = data.draw(st.integers(min_value=0, max_value=(1 << k) - 1))
+    count = data.draw(st.one_of(
+        st.sampled_from(range(0, t + 1)),
+        st.sampled_from(range(t + 1, max(t + 1, min(t + 3, n)) + 1))))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    errors = random.Random(seed).sample(range(n), count)
+    _assert_matches_reference(code, message, errors)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_sub_byte_parity_codes_match_reference(m):
+    """t = 1 codes with m < 8 have fewer than 8 parity bits: the encoder
+    runs on m-bit chunks."""
+    code = _code(m, 1)
+    assert code.params.parity_bits == m < 8
+    rng = random.Random(m)
+    messages = (range(1 << code.params.k) if code.params.k <= 11
+                else [rng.getrandbits(code.params.k) for _ in range(200)])
+    reference = ReferenceBCH(code)
+    for message in messages:
+        assert code.encode_bits(message) == reference.encode_bits(message)
+    for _ in range(20):
+        _assert_matches_reference(
+            code, rng.getrandbits(code.params.k),
+            rng.sample(range(code.params.n), rng.randrange(4)))
+
+
+@pytest.mark.parametrize("t", [1, 6, 12])
+def test_2kb_page_matches_reference(t):
+    """The section 4.1 code (m = 15, 2KB page) at the ends and middle of
+    the controller's range: t errors correct, t + 1 behave identically."""
+    code = design_code_for_page(2048, t)
+    reference = ReferenceBCH(code)
+    rng = random.Random(1000 + t)
+    payload = rng.randbytes(2048)
+    _, parity = code.encode(payload)
+    message = int.from_bytes(payload, "little")
+    reference_parity = reference.encode_bits(message) & (
+        (1 << code.params.parity_bits) - 1)
+    assert parity == reference_parity.to_bytes(code.params.parity_bytes,
+                                               "little")
+    positions = rng.sample(range(code.params.n), t + 1)
+    at_t = _assert_matches_reference(code, message, positions[:t])
+    assert at_t.corrected == t
+    assert set(at_t.error_positions) == set(positions[:t])
+    _assert_matches_reference(code, message, positions)

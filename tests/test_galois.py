@@ -204,3 +204,50 @@ class TestGFPoly:
         b = GFPoly(FIELD, [1])
         with pytest.raises(ValueError):
             a.add(b)
+
+
+def _product_of_linear_factors(field, roots):
+    poly = GFPoly(field, [1])
+    for root in roots:
+        poly = poly.mul(GFPoly(field, [root, 1]))
+    return poly
+
+
+class TestDistinctRoots:
+    """The trace-algorithm root finder against exhaustive evaluation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.lists(elements, min_size=1, max_size=10))
+    def test_matches_exhaustive_search(self, coeffs):
+        poly = GFPoly(FIELD, coeffs)
+        if poly.is_zero():
+            return
+        expected = {e for e in FIELD.elements() if poly.evaluate(e) == 0}
+        roots = poly.distinct_roots()
+        assert len(roots) == len(expected)
+        assert set(roots) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(roots=st.sets(elements, min_size=1, max_size=16),
+           scale=nonzero_elements)
+    def test_split_polynomial_yields_every_root(self, roots, scale):
+        poly = _product_of_linear_factors(FIELD, sorted(roots)).scale(scale)
+        assert sorted(poly.distinct_roots()) == sorted(roots)
+
+    def test_repeated_root_counts_once(self):
+        a, b = FIELD.alpha_pow(5), FIELD.alpha_pow(77)
+        poly = _product_of_linear_factors(FIELD, [a, a, b])
+        assert poly.degree == 3
+        assert sorted(poly.distinct_roots()) == sorted([a, b])
+
+    def test_irreducible_factor_has_no_roots(self):
+        # x^2 + x + 1 is irreducible over GF(2^m) for odd m.
+        field = GF2m(5)
+        assert GFPoly(field, [1, 1, 1]).distinct_roots() == []
+        poly = GFPoly(field, [1, 1, 1]).mul(GFPoly(field, [7, 1]))
+        assert poly.distinct_roots() == [7]
+
+    def test_constant_and_zero(self):
+        assert GFPoly(FIELD, [9]).distinct_roots() == []
+        with pytest.raises(ValueError):
+            GFPoly(FIELD, []).distinct_roots()
