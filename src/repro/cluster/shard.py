@@ -1,11 +1,12 @@
 """One cluster shard: an open-loop Flash cache engine with shedding.
 
 A shard is a full single-node hierarchy (DRAM PDC + Flash disk cache +
-disk) driven by the same event-loop machinery as
-:mod:`repro.sim.concurrent`, but open-loop: arrivals come at absolute
+disk) driven by the open-loop mode of the node engine
+(:class:`repro.sim.concurrent.NodeEngine`): arrivals come at absolute
 instants from the front-end's traffic plan instead of being pulled by
-freed window slots.  On top of the outstanding-request window the shard
-adds the cluster behaviours:
+freed window slots.  The engine supplies admission, DISPATCH, the
+completion tail and the makespan; this module adds only the cluster
+behaviours, as the ARRIVE/SYNC/REJOIN handlers and the completion hook:
 
 * **admission control** — when the window is full a request waits in a
   FIFO host queue; when that queue reaches ``shed_queue`` the request is
@@ -15,7 +16,7 @@ adds the cluster behaviours:
   instant (``fail_at_us``: requests still in flight are *lost*, later
   completions don't count) or organically when graceful degradation
   trips the cache into its bypass state (``retire_on_degraded`` with a
-  PR-1 fault ladder or PR-6 reliability model attached).  Arrivals after
+  fault ladder or an error-process model attached).  Arrivals after
   retirement are returned to the orchestrator as *redirects* for the
   survivors.  In-flight *reads* lost to a scripted kill are additionally
   reported with their loss bucket (``inflight_reads``) so the
@@ -28,7 +29,7 @@ adds the cluster behaviours:
   catch-up is driven by ``sync_arrivals``: background anti-entropy ops
   (writes on the rejoiner warming the moved keys back in, paired source
   reads on the neighbours that held them) that occupy window slots —
-  delaying foreground traffic exactly like the PR-7 state/timing split
+  delaying foreground traffic the way the engine's state/timing split
   charges GC — but never shed and never count in the foreground
   accounting identity.
 
@@ -39,7 +40,9 @@ count.  Every per-shard RNG stream is derived via
 :func:`repro.parallel.derive_seed` (incarnations derive distinct
 streams: a repaired device is new hardware).
 
-Accounting invariants, asserted at the end of every run::
+Queue delay is ``(now - arrive) - service - cpu``, which includes the
+host-queue wait; the closed window keeps its own expression (DESIGN.md
+section 14).  Accounting invariants, asserted at the end of every run::
 
     arrivals      == completed + shed + lost + redirected
     sync_arrived  == sync_completed + sync_lost + sync_skipped
@@ -47,30 +50,28 @@ Accounting invariants, asserted at the end of every run::
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
 
 from ..core.hierarchy import build_flash_system, FlashBackedSystem, \
     PendingRequest
 from ..faults.injector import FaultConfig
-from ..flash.channels import ChannelConfig, NandScheduler
+from ..flash.channels import ChannelConfig
 from ..parallel import derive_seed
 from ..reliability import ReliabilityConfig
-from ..sim.events import Event, EventLoop, EventType
+from ..sim.concurrent import NodeEngine
+from ..sim.events import Event, EventType
 from ..telemetry import LatencyHistogram, Telemetry, TraceSampler
 from .arrivals import Arrival
 
 __all__ = ["run_shard"]
 
 
-class _ShardEngine:
-    """One shard run's event-loop state (not reusable).
+class _ShardEngine(NodeEngine):
+    """Open-loop mode of the node engine, with the cluster accounting.
 
-    Handlers take simulated time only from ``loop.now_us`` (simlint
-    SIM010); ties resolve in posting order.  Arrivals chain: each ARRIVE
-    handler posts the next arrival at its absolute instant, so the heap
-    holds one future arrival at a time (the sync stream chains the same
-    way through SYNC events).
+    Arrivals chain: each ARRIVE handler posts the next arrival at its
+    absolute instant, so the heap holds one future arrival at a time
+    (the sync stream chains the same way through SYNC events).
     """
 
     def __init__(self, system: FlashBackedSystem,
@@ -81,9 +82,10 @@ class _ShardEngine:
                  sync_arrivals: Sequence[Arrival] = (),
                  rejoin_at_us: Optional[float] = None,
                  shard_id: int = 0,
-                 telemetry: Optional[Telemetry] = None) -> None:
-        self.system = system
-        self.queue_depth = queue_depth
+                 telemetry: Optional[Telemetry] = None,
+                 sampler: Optional[TraceSampler] = None) -> None:
+        super().__init__(system, queue_depth, config, sampler)
+        self.flash = system.flash
         self.shed_queue = shed_queue
         self.fail_at_us = fail_at_us
         self.retire_on_degraded = retire_on_degraded
@@ -91,15 +93,7 @@ class _ShardEngine:
         self.rejoin_at_us = rejoin_at_us
         self.shard_id = shard_id
         self.telemetry = telemetry
-        self.loop = EventLoop()
-        self.scheduler = NandScheduler(config)
         self.response = LatencyHistogram("response_us")
-        self.queue_delay = LatencyHistogram("queue_delay_us")
-        self.service_latency = LatencyHistogram("service_latency_us")
-        self.sampler: Optional[TraceSampler] = None
-        self.position = 0
-        self.wait: Deque[PendingRequest] = deque()
-        self.slots = 0
         self.arrived = 0
         self.completed = 0
         self.shed = 0
@@ -113,32 +107,19 @@ class _ShardEngine:
         self.inflight_reads: List[Tuple[Arrival, int]] = []
         #: Simulated instant the shard left the cluster, if it did.
         self.retired_at_us: Optional[float] = None
-        self.channel_stalls = 0
-        self.gc_events = 0
-        self.scrub_events = 0
         self.sync_arrived = 0
         self.sync_completed = 0
         self.sync_lost = 0
         self.sync_skipped = 0
         self._source = iter(arrivals)
         self._sync_source = iter(sync_arrivals)
-        self._last_scrub_passes = self._scrub_passes()
         #: Per-time-bucket rows: [arrivals, completed, shed, lost,
         #: redirected, response_sum_us, response_max_us].
         self.buckets: Dict[int, List[float]] = {}
         loop = self.loop
         loop.register(EventType.ARRIVE, self._on_arrive)
-        loop.register(EventType.DISPATCH, self._on_dispatch)
-        loop.register(EventType.CHANNEL_BUSY, self._on_channel_busy)
-        loop.register(EventType.COMPLETE, self._on_complete)
-        loop.register(EventType.GC, self._on_gc)
-        loop.register(EventType.SCRUB, self._on_scrub)
         loop.register(EventType.SYNC, self._on_sync)
         loop.register(EventType.REJOIN, self._on_rejoin)
-
-    def _scrub_passes(self) -> int:
-        scrubber = getattr(self.system, "scrubber", None)
-        return scrubber.stats.passes if scrubber is not None else 0
 
     def _bucket(self, time_us: float) -> List[float]:
         index = int(time_us // self.bucket_us)
@@ -161,8 +142,7 @@ class _ShardEngine:
 
     def _on_arrive(self, event: Event) -> None:
         arrival: Arrival = event.payload
-        loop = self.loop
-        now_us = loop.now_us
+        now_us = self.loop.now_us
         self.arrived += 1
         bucket = self._bucket(now_us)
         bucket[0] += 1
@@ -179,7 +159,7 @@ class _ShardEngine:
             self.shed += 1
             bucket[2] += 1
         else:
-            self._admit(arrival, now_us)
+            self._admit(arrival)
         self._post_next_arrival()
 
     def _on_sync(self, event: Event) -> None:
@@ -190,7 +170,7 @@ class _ShardEngine:
             # stream pages; the orchestrator's plan was optimistic.
             self.sync_skipped += 1
         else:
-            self._admit(arrival, self.loop.now_us, background=True)
+            self._admit(arrival, background=True)
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.sync_page(arrival[2], arrival[3])
@@ -201,116 +181,51 @@ class _ShardEngine:
         if telemetry is not None:
             telemetry.rejoin(self.shard_id, self.loop.now_us)
 
-    def _admit(self, arrival: Arrival, now_us: float,
-               background: bool = False) -> None:
+    def _admit(self, arrival: Arrival, background: bool = False) -> None:
         _, _, page, is_read = arrival
-        loop = self.loop
-        system = self.system
-        # Functional execution at admission, in arrival order — the same
-        # state/timing split as run_trace_concurrent, so cache contents
-        # are a pure function of the admitted request sequence.
-        if is_read:
-            pending = system.submit_read(page)
-        else:
-            pending = system.submit_write(page)
-        pending.arrive_us = now_us
-        pending.context = (arrival, background)
-        self.position += 1
-        sampler = self.sampler
-        if sampler is not None and self.position >= sampler.next_at:
-            sampler.maybe_sample(self.position)
-        if pending.gc_us > 0:
-            loop.post(0.0, Event(EventType.GC, pending.gc_us))
-        scrub_passes = self._scrub_passes()
-        if scrub_passes > self._last_scrub_passes:
-            self._last_scrub_passes = scrub_passes
-            loop.post(0.0, Event(EventType.SCRUB, pending.page))
-        if self.slots < self.queue_depth:
-            self.slots += 1
-            loop.post(system.config.cpu_us_per_request,
-                      Event(EventType.DISPATCH, pending))
-        else:
-            self.wait.append(pending)
+        self.admit(page, is_read, (arrival, background))
         # Graceful degradation may have tripped while serving this very
         # request; admitted work completes, later arrivals redirect.
         if (not background and self.retire_on_degraded
-                and self.retired_at_us is None
-                and self.system.flash.degraded):
-            self.retired_at_us = now_us
+                and self.retired_at_us is None and self.flash.degraded):
+            self.retired_at_us = self.loop.now_us
 
-    def _on_dispatch(self, event: Event) -> None:
-        pending: PendingRequest = event.payload
-        loop = self.loop
-        pending.dispatch_us = loop.now_us
-        ready_us = loop.now_us
-        wait_us = 0.0
-        scheduler = self.scheduler
-        for op in pending.ops:
-            placed = scheduler.schedule(ready_us, op.latency_us)
-            if placed.wait_us > 0:
-                loop.post_at(placed.start_us,
-                             Event(EventType.CHANNEL_BUSY,
-                                   (placed.channel, placed.wait_us)))
-                wait_us += placed.wait_us
-            ready_us = placed.end_us
-        finish_us = pending.dispatch_us + pending.service_us + wait_us
-        loop.post_at(finish_us, Event(EventType.COMPLETE, pending))
-
-    def _on_channel_busy(self, event: Event) -> None:
-        self.channel_stalls += 1
-
-    def _on_complete(self, event: Event) -> None:
-        pending: PendingRequest = event.payload
-        loop = self.loop
-        now_us = loop.now_us
-        pending.finish_us = now_us
-        self.system.complete_request(pending)
+    def _finish(self, pending: PendingRequest, now_us: float) -> None:
         arrival, background = cast(Tuple[Arrival, bool], pending.context)
+        killed = self.fail_at_us is not None and now_us > self.fail_at_us
         if background:
-            if self.fail_at_us is not None and now_us > self.fail_at_us:
+            if killed:
                 self.sync_lost += 1
             else:
                 self.sync_completed += 1
-        else:
-            bucket = self._bucket(now_us)
-            if self.fail_at_us is not None and now_us > self.fail_at_us:
-                # In flight when the shard died: the work happened, the
-                # response never left the building.  A lost *read* is
-                # recoverable on another replica — report it with its
-                # loss bucket so the orchestrator can retry it there.
-                self.lost += 1
-                bucket[3] += 1
-                if pending.is_read:
-                    self.lost_reads += 1
-                    self.inflight_reads.append(
-                        (arrival, int(now_us // self.bucket_us)))
-                else:
-                    self.lost_writes += 1
+            return
+        bucket = self._bucket(now_us)
+        if killed:
+            # In flight when the shard died: the work happened, the
+            # response never left the building.  A lost *read* is
+            # recoverable on another replica — report it with its loss
+            # bucket so the orchestrator can retry it there.
+            self.lost += 1
+            bucket[3] += 1
+            if pending.is_read:
+                self.lost_reads += 1
+                self.inflight_reads.append(
+                    (arrival, int(now_us // self.bucket_us)))
             else:
-                self.completed += 1
-                response_us = now_us - pending.arrive_us
-                self.response.observe(response_us)
-                self.queue_delay.observe(
-                    response_us - pending.service_us
-                    - self.system.config.cpu_us_per_request)
-                self.service_latency.observe(pending.service_us)
-                bucket[1] += 1
-                bucket[5] += response_us
-                if response_us > bucket[6]:
-                    bucket[6] = response_us
-        self.slots -= 1
-        if self.wait:
-            # The freed slot picks up the oldest waiter; it pays the
-            # same host CPU step an immediately-admitted request does.
-            self.slots += 1
-            loop.post(self.system.config.cpu_us_per_request,
-                      Event(EventType.DISPATCH, self.wait.popleft()))
-
-    def _on_gc(self, event: Event) -> None:
-        self.gc_events += 1
-
-    def _on_scrub(self, event: Event) -> None:
-        self.scrub_events += 1
+                self.lost_writes += 1
+            return
+        self.completed += 1
+        response_us = now_us - pending.arrive_us
+        self.response.observe(response_us)
+        # (now - arrive) - service - cpu: includes the host-queue wait,
+        # which the closed window never has (DESIGN.md section 14).
+        self.queue_delay.observe(
+            response_us - pending.service_us - self._cpu_us)
+        self.service_latency.observe(pending.service_us)
+        bucket[1] += 1
+        bucket[5] += response_us
+        if response_us > bucket[6]:
+            bucket[6] = response_us
 
     # -- driving -------------------------------------------------------------
 
@@ -321,9 +236,7 @@ class _ShardEngine:
                               Event(EventType.REJOIN, self.shard_id))
         self._post_next_arrival()
         self._post_next_sync()
-        loop_end_us = self.loop.run()
-        horizon_us = self.scheduler.horizon_us()
-        span_us = loop_end_us if loop_end_us >= horizon_us else horizon_us
+        span_us = super().run()
         if self.fail_at_us is not None and self.retired_at_us is None:
             # A scripted kill happens whether or not any arrival landed
             # after it (the front-end routes around a dead shard).
@@ -392,16 +305,15 @@ def run_shard(shard_id: int, arrivals: List[Arrival], dram_bytes: int,
     )
     telemetry = Telemetry(sample_interval=sample_interval)
     telemetry.attach(system)
+    sampler = TraceSampler(telemetry, system, interval=sample_interval)
     engine = _ShardEngine(system, arrivals, queue_depth,
                           ChannelConfig(channels=channels, planes=planes),
                           shed_queue, fail_at_us, retire_on_degraded,
                           bucket_us, sync_arrivals=sync_arrivals or (),
                           rejoin_at_us=rejoin_at_us, shard_id=shard_id,
-                          telemetry=telemetry)
-    engine.sampler = TraceSampler(telemetry, system,
-                                  interval=sample_interval)
+                          telemetry=telemetry, sampler=sampler)
     span_us = engine.run()
-    engine.sampler.finalize(engine.position)
+    sampler.finalize(engine.position)
     telemetry.harvest_cache_counters(system.flash)
     telemetry.harvest_system_counters(system)
     flash = system.flash

@@ -10,20 +10,20 @@ Nothing here reads the wall clock (simlint SIM001) and nothing here may
 advance device clocks behind the loop's back (simlint SIM010): handlers
 receive the event and take the current time from ``loop.now_us``.
 
-Event types are the fixed vocabulary of the concurrent engine
-(:mod:`repro.sim.concurrent`):
+Event types are the fixed vocabulary of the node engine
+(:mod:`repro.sim.concurrent`) and its two modes:
 
-* ``ARRIVE``   — a request enters the outstanding-request window;
+* ``ARRIVE``   — a request reaches the node (the closed window pulls the
+  next trace request; the open-loop shard takes a planned arrival);
 * ``DISPATCH`` — a request leaves the host queue and starts service;
-* ``CHANNEL_BUSY`` — an op found its NAND channel/plane occupied and
-  had to stall (payload carries the channel and the wait);
 * ``COMPLETE`` — a request finished; its window slot frees;
-* ``GC``       — background garbage-collection work was generated;
-* ``SCRUB``    — background retention-scrub work was generated;
 * ``REJOIN``   — a repaired cluster shard re-entered the ring
   (:mod:`repro.cluster.shard`, repair/re-admission);
 * ``SYNC``     — one anti-entropy catch-up op (a sync write on the
   rejoining shard, or the paired source read on a neighbour).
+
+Channel stalls, GC bursts and scrub passes are plain counters on the
+engine, not events: no handler ever had to run at their instant.
 """
 
 from __future__ import annotations
@@ -37,14 +37,11 @@ __all__ = ["EventType", "Event", "EventLoop"]
 
 
 class EventType(Enum):
-    """The concurrent engine's event vocabulary."""
+    """The node engine's event vocabulary."""
 
     ARRIVE = "arrive"
     DISPATCH = "dispatch"
-    CHANNEL_BUSY = "channel_busy"
     COMPLETE = "complete"
-    GC = "gc"
-    SCRUB = "scrub"
     REJOIN = "rejoin"
     SYNC = "sync"
 

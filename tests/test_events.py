@@ -7,6 +7,7 @@ import pickle
 from dataclasses import asdict
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.hierarchy import build_flash_system
 from repro.experiments import fig14_concurrency
@@ -65,13 +66,13 @@ class TestEventLoop:
 
     def test_duplicate_registration_rejected(self):
         loop = EventLoop()
-        loop.register(EventType.GC, lambda e: None)
+        loop.register(EventType.SYNC, lambda e: None)
         with pytest.raises(ValueError):
-            loop.register(EventType.GC, lambda e: None)
+            loop.register(EventType.SYNC, lambda e: None)
 
     def test_unhandled_event_type_raises(self):
         loop = EventLoop()
-        loop.post(0.0, Event(EventType.SCRUB, None))
+        loop.post(0.0, Event(EventType.REJOIN, None))
         with pytest.raises(KeyError):
             loop.run()
 
@@ -253,6 +254,11 @@ def _trace(workload="specweb99", n=3000, seed=21):
                           seed=seed)
 
 
+@pytest.fixture(scope="module")
+def serial_report():
+    return run_trace(_system(), _trace())
+
+
 class TestCompatMode:
     """queue_depth=1, channels=1, planes=1 is byte-identical to the
     legacy serial engine (the fig1b..fig13 guarantee)."""
@@ -278,11 +284,17 @@ class TestCompatMode:
         assert asdict(serial) == asdict(compat)
         assert compat.queueing is None
 
-    def test_functional_metrics_invariant_under_concurrency(self):
-        serial = run_trace(_system(), _trace())
+    @settings(max_examples=25, deadline=None)
+    @given(queue_depth=st.integers(1, 32), channels=st.integers(1, 4),
+           planes=st.integers(1, 2))
+    def test_functional_metrics_invariant_under_concurrency(
+            self, serial_report, queue_depth, channels, planes):
+        assume((queue_depth, channels, planes) != (1, 1, 1))
+        serial = serial_report
         concurrent = run_trace_concurrent(_system(), _trace(),
-                                          queue_depth=8, channels=2,
-                                          planes=2)
+                                          queue_depth=queue_depth,
+                                          channels=channels,
+                                          planes=planes)
         assert concurrent.queueing is not None
         for field in ("requests", "reads", "writes",
                       "average_latency_us", "disk_reads", "disk_writes",
