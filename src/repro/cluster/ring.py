@@ -16,20 +16,21 @@ successors, and a repaired shard rejoining only takes its own keys
 back.
 
 Every hash is SHA-256 (simlint SIM003: builtin ``hash()`` is salted per
-process and would make routing depend on ``PYTHONHASHSEED``).  Lookup
-with an exclusion set walks clockwise past excluded shards, so failover
-targets are exactly the next live owners on the circle.  A walk that
-runs out of shards — every shard excluded, or a replication factor
-above the live population — raises the typed
-:class:`~repro.cluster.errors.ClusterError` rather than looping or
-silently under-providing replicas.
+process and would make routing depend on ``PYTHONHASHSEED``).  The ring
+never changes after construction, so each page's start position on it
+is hashed once and memoised per ring.  Lookup with an exclusion set
+walks clockwise past excluded shards, so failover targets are exactly
+the next live owners on the circle.  A walk that runs out of shards —
+every shard excluded, or a replication factor above the live
+population — raises the typed :class:`~repro.cluster.errors.ClusterError`
+rather than looping or silently under-providing replicas.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import ClusterError
 
@@ -63,6 +64,11 @@ class HashRing:
         points.sort()
         self._points = points
         self._hashes = [position for position, _ in points]
+        self._shard_set = frozenset(self.shard_ids)
+        #: page -> index of the first ring point at or clockwise of the
+        #: page's position.  The ring never changes after construction,
+        #: so this is a pure function of the page, hashed once per page.
+        self._starts: Dict[int, int] = {}
 
     def route(self, page: int, exclude: Iterable[int] = ()) -> int:
         """Owning shard for ``page``, skipping any shard in ``exclude``.
@@ -89,14 +95,17 @@ class HashRing:
         if replicas < 1:
             raise ClusterError("replicas must be >= 1")
         excluded = frozenset(exclude)
-        live = len(set(self.shard_ids) - excluded)
+        live = len(self._shard_set - excluded)
         if live < replicas:
             raise ClusterError(
                 f"cannot place {replicas} replicas on {live} live "
                 f"shard(s) ({len(self.shard_ids)} total, "
-                f"{len(excluded & set(self.shard_ids))} excluded)")
+                f"{len(excluded & self._shard_set)} excluded)")
         points = self._points
-        start = bisect.bisect_left(self._hashes, _point(f"page:{page}"))
+        start = self._starts.get(page)
+        if start is None:
+            start = self._starts[page] = bisect.bisect_left(
+                self._hashes, _point(f"page:{page}"))
         chosen: List[int] = []
         for offset in range(len(points)):
             position = (start + offset) % len(points)

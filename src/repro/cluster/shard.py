@@ -59,11 +59,15 @@ from ..flash.channels import ChannelConfig
 from ..parallel import derive_seed
 from ..reliability import ReliabilityConfig
 from ..sim.concurrent import NodeEngine
-from ..sim.events import Event, EventType
+from ..sim.events import EventType
 from ..telemetry import LatencyHistogram, Telemetry, TraceSampler
 from .arrivals import Arrival
 
 __all__ = ["run_shard"]
+
+#: What a shard parks in ``PendingRequest.context``: the originating
+#: arrival and whether it is background sync traffic.
+_Context = Tuple[Arrival, bool]
 
 
 class _ShardEngine(NodeEngine):
@@ -131,17 +135,16 @@ class _ShardEngine(NodeEngine):
     def _post_next_arrival(self) -> None:
         arrival = next(self._source, None)
         if arrival is not None:
-            self.loop.post_at(arrival[0], Event(EventType.ARRIVE, arrival))
+            self.loop.post_at(arrival[0], EventType.ARRIVE, arrival)
 
     def _post_next_sync(self) -> None:
         arrival = next(self._sync_source, None)
         if arrival is not None:
-            self.loop.post_at(arrival[0], Event(EventType.SYNC, arrival))
+            self.loop.post_at(arrival[0], EventType.SYNC, arrival)
 
     # -- event handlers ------------------------------------------------------
 
-    def _on_arrive(self, event: Event) -> None:
-        arrival: Arrival = event.payload
+    def _on_arrive(self, arrival: Arrival) -> None:
         now_us = self.loop.now_us
         self.arrived += 1
         bucket = self._bucket(now_us)
@@ -162,8 +165,7 @@ class _ShardEngine(NodeEngine):
             self._admit(arrival)
         self._post_next_arrival()
 
-    def _on_sync(self, event: Event) -> None:
-        arrival: Arrival = event.payload
+    def _on_sync(self, arrival: Arrival) -> None:
         self.sync_arrived += 1
         if self.retired_at_us is not None:
             # A sync source that has itself left the cluster cannot
@@ -176,10 +178,10 @@ class _ShardEngine(NodeEngine):
                 telemetry.sync_page(arrival[2], arrival[3])
         self._post_next_sync()
 
-    def _on_rejoin(self, event: Event) -> None:
+    def _on_rejoin(self, shard_id: int) -> None:
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.rejoin(self.shard_id, self.loop.now_us)
+            telemetry.rejoin(shard_id, self.loop.now_us)
 
     def _admit(self, arrival: Arrival, background: bool = False) -> None:
         _, _, page, is_read = arrival
@@ -191,7 +193,7 @@ class _ShardEngine(NodeEngine):
             self.retired_at_us = self.loop.now_us
 
     def _finish(self, pending: PendingRequest, now_us: float) -> None:
-        arrival, background = cast(Tuple[Arrival, bool], pending.context)
+        arrival, background = cast(_Context, pending.context)
         killed = self.fail_at_us is not None and now_us > self.fail_at_us
         if background:
             if killed:
@@ -232,8 +234,8 @@ class _ShardEngine(NodeEngine):
     def run(self) -> float:
         """Chain arrivals through the loop; returns the makespan (us)."""
         if self.rejoin_at_us is not None:
-            self.loop.post_at(self.rejoin_at_us,
-                              Event(EventType.REJOIN, self.shard_id))
+            self.loop.post_at(self.rejoin_at_us, EventType.REJOIN,
+                              self.shard_id)
         self._post_next_arrival()
         self._post_next_sync()
         span_us = super().run()

@@ -17,7 +17,7 @@ same resources in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 __all__ = ["ChannelConfig", "ScheduledOp", "NandScheduler"]
 
@@ -45,8 +45,7 @@ class ChannelConfig:
         return self.channels * self.planes
 
 
-@dataclass(frozen=True)
-class ScheduledOp:
+class ScheduledOp(NamedTuple):
     """Placement of one NAND op on the fabric."""
 
     channel: int
@@ -93,8 +92,10 @@ class NandScheduler:
 
     def schedule(self, ready_us: float, latency_us: float) -> ScheduledOp:
         """Place one op; returns where it ran and how long it waited."""
-        if latency_us < 0:
-            raise ValueError("latency_us must be non-negative")
+        # Written so that NaN fails the guard too.
+        if not latency_us >= 0:
+            raise ValueError(
+                f"latency_us must be non-negative, not {latency_us}")
         index, free_us = self._pick(ready_us)
         start_us = ready_us if free_us <= ready_us else free_us
         end_us = start_us + latency_us
@@ -103,9 +104,8 @@ class NandScheduler:
         plane = index % self.config.planes
         self.channel_busy_us[channel] += latency_us
         self.ops_scheduled += 1
-        return ScheduledOp(channel=channel, plane=plane,
-                           start_us=start_us, end_us=end_us,
-                           wait_us=start_us - ready_us)
+        return ScheduledOp(channel, plane, start_us, end_us,
+                           start_us - ready_us)
 
     def horizon_us(self) -> float:
         """Time at which the whole fabric falls idle."""

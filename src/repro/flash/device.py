@@ -28,10 +28,9 @@ metadata-only for speed.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..faults.injector import FaultInjector
 from ..reliability.model import ReliabilityModel
@@ -271,13 +270,13 @@ class FlashDevice:
         #: (the default) keeps every operation on the historical code
         #: path; attaching costs one attribute check per operation.
         self.telemetry = None
-        #: Optional per-operation sink ``sink(kind, block, latency_us)``
-        #: invoked after every read/program/erase (including ones that
-        #: raise a status failure — the plane was occupied either way).
-        #: The concurrent engine attaches one to capture each request's
-        #: op stream for channel/plane scheduling; ``None`` (the
-        #: default) changes nothing.
-        self.op_sink = None
+        #: Optional op list: every read/program/erase appends its
+        #: :class:`DeviceOp` here (including ones that raise a status
+        #: failure — the plane was occupied either way).  Only
+        #: :meth:`capture_ops` sets it, to capture each request's op
+        #: stream for channel/plane scheduling; ``None`` (the default)
+        #: changes nothing.
+        self.op_sink: Optional[List[DeviceOp]] = None
         self._rng = Random(seed)
         self._erase_counts: List[int] = [0] * geometry.num_blocks
         # Frames are created lazily: large devices in metadata-only runs
@@ -286,29 +285,18 @@ class FlashDevice:
 
     # -- non-blocking entry points ---------------------------------------------
 
-    @contextmanager
-    def capture_ops(self, into: List[DeviceOp]) -> Iterator[List[DeviceOp]]:
-        """Collect every NAND op issued inside the block into ``into``.
+    def capture_ops(self, into: List[DeviceOp]) -> _OpCapture:
+        """Collect every NAND op issued inside the ``with`` block into
+        ``into``.
 
         This is the device's submit-side hook: callers (controller and
         hierarchy ``submit_*`` entry points) run the functional operation
         under capture and hand the recorded op stream to the event
         engine, which schedules it on channels/planes.  Nesting chains:
-        an outer capture still sees ops recorded by an inner one.
+        on exit, even by an exception, an outer capture receives the ops
+        an inner one recorded, so it sees every op in issue order.
         """
-        previous = self.op_sink
-        if previous is None:
-            def sink(kind: str, block: int, latency_us: float) -> None:
-                into.append(DeviceOp(kind, block, latency_us))
-        else:
-            def sink(kind: str, block: int, latency_us: float) -> None:
-                into.append(DeviceOp(kind, block, latency_us))
-                previous(kind, block, latency_us)
-        self.op_sink = sink
-        try:
-            yield into
-        finally:
-            self.op_sink = previous
+        return _OpCapture(self, into)
 
     # -- frame bookkeeping ----------------------------------------------------
 
@@ -387,7 +375,7 @@ class FlashDevice:
         self.clock_us += latency
         sink = self.op_sink
         if sink is not None:
-            sink("read", address.block, latency)
+            sink.append(DeviceOp("read", address.block, latency))
         # No telemetry hook here: nand.reads is harvested from
         # DeviceStats at end of run (Telemetry.harvest_cache_counters).
         errors = self._raw_bit_errors(frame)
@@ -446,7 +434,7 @@ class FlashDevice:
             self.clock_us += latency
             sink = self.op_sink
             if sink is not None:
-                sink("program", address.block, latency)
+                sink.append(DeviceOp("program", address.block, latency))
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.nand_fault("program")
@@ -459,7 +447,7 @@ class FlashDevice:
         self.clock_us += latency
         sink = self.op_sink
         if sink is not None:
-            sink("program", address.block, latency)
+            sink.append(DeviceOp("program", address.block, latency))
         model = self.reliability
         if model is not None:
             model.note_program(address.block, address.frame, self.clock_us)
@@ -496,7 +484,7 @@ class FlashDevice:
             self.clock_us += latency
             sink = self.op_sink
             if sink is not None:
-                sink("erase", block, latency)
+                sink.append(DeviceOp("erase", block, latency))
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.nand_erase(latency)
@@ -522,7 +510,7 @@ class FlashDevice:
         self.clock_us += latency
         sink = self.op_sink
         if sink is not None:
-            sink("erase", block, latency)
+            sink.append(DeviceOp("erase", block, latency))
         model = self.reliability
         if model is not None:
             model.note_erase(block, self.clock_us,
@@ -665,3 +653,31 @@ class FlashDevice:
             f"frames_per_block={g.frames_per_block}, "
             f"initial_mode={self.initial_mode.value})"
         )
+
+
+class _OpCapture:
+    """The ``with`` block behind :meth:`FlashDevice.capture_ops`: points
+    the device's op sink at one list and restores the outer sink (handing
+    it the ops recorded meanwhile) on exit."""
+
+    __slots__ = ("_device", "_into", "_outer", "_start")
+
+    def __init__(self, device: FlashDevice, into: List[DeviceOp]) -> None:
+        self._device = device
+        self._into = into
+        self._outer: Optional[List[DeviceOp]] = None
+        self._start = 0
+
+    def __enter__(self) -> List[DeviceOp]:
+        device = self._device
+        into = self._into
+        self._outer = device.op_sink
+        self._start = len(into)
+        device.op_sink = into
+        return into
+
+    def __exit__(self, *exc_info: object) -> None:
+        outer = self._outer
+        self._device.op_sink = outer
+        if outer is not None:
+            outer.extend(self._into[self._start:])

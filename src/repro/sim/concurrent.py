@@ -54,7 +54,7 @@ from ..telemetry import LatencyHistogram, Telemetry, TraceSampler
 from ..workloads.trace import TraceRecord
 from .engine import QueueingStats, SimulationReport, run_trace, \
     summarise_system
-from .events import Event, EventLoop, EventType
+from .events import EventLoop, EventType
 from .server import ServerModel
 
 __all__ = ["NodeEngine", "run_trace_concurrent"]
@@ -129,20 +129,18 @@ class NodeEngine:
             self.slots += 1
             # Host CPU/network time precedes storage dispatch (the same
             # per-request constant the serial wall clock charges).
-            self.loop.post(self._cpu_us, Event(EventType.DISPATCH, pending))
+            self.loop.post(self._cpu_us, EventType.DISPATCH, pending)
         else:
             self.wait.append(pending)
 
-    def _on_dispatch(self, event: Event) -> None:
+    def _on_dispatch(self, pending: PendingRequest) -> None:
         """Place the request's op stream on the channel/plane fabric."""
-        pending: PendingRequest = event.payload
         loop = self.loop
-        pending.dispatch_us = loop.now_us
-        ready_us = loop.now_us
+        ready_us = pending.dispatch_us = loop.now_us
         wait_us = 0.0
-        scheduler = self.scheduler
+        schedule = self.scheduler.schedule
         for op in pending.ops:
-            placed = scheduler.schedule(ready_us, op.latency_us)
+            placed = schedule(ready_us, op.latency_us)
             if placed.wait_us > 0:
                 self.channel_stalls += 1
                 wait_us += placed.wait_us
@@ -152,10 +150,9 @@ class NodeEngine:
         # scrub rewrites) occupies the fabric but is excluded from
         # service, so it delays neighbours rather than this request.
         finish_us = pending.dispatch_us + pending.service_us + wait_us
-        loop.post_at(finish_us, Event(EventType.COMPLETE, pending))
+        loop.post_at(finish_us, EventType.COMPLETE, pending)
 
-    def _on_complete(self, event: Event) -> None:
-        pending: PendingRequest = event.payload
+    def _on_complete(self, pending: PendingRequest) -> None:
         now_us = self.loop.now_us
         pending.finish_us = now_us
         self.system.complete_request(pending)
@@ -165,8 +162,8 @@ class NodeEngine:
             # The freed slot picks up the oldest waiter; it pays the
             # same host CPU step an immediately-admitted request does.
             self.slots += 1
-            self.loop.post(self._cpu_us,
-                           Event(EventType.DISPATCH, self.wait.popleft()))
+            self.loop.post(self._cpu_us, EventType.DISPATCH,
+                           self.wait.popleft())
 
     def _finish(self, pending: PendingRequest, now_us: float) -> None:
         """Record one completed request (the mode's accounting)."""
@@ -200,7 +197,7 @@ class _TraceWindow(NodeEngine):
         self._exhausted = False
         self.loop.register(EventType.ARRIVE, self._on_arrive)
 
-    def _on_arrive(self, event: Event) -> None:
+    def _on_arrive(self, _payload: None) -> None:
         try:
             page, is_read = next(self._source)
         except StopIteration:
@@ -215,12 +212,12 @@ class _TraceWindow(NodeEngine):
         self.queue_delay.observe(pending.queue_delay_us)
         self.service_latency.observe(pending.service_us)
         if not self._exhausted:
-            self.loop.post(0.0, Event(EventType.ARRIVE, None))
+            self.loop.post(0.0, EventType.ARRIVE)
 
     def run(self) -> float:
         """Prime the window, drain the loop; returns the makespan (us)."""
         for _ in range(self.queue_depth):
-            self.loop.post(0.0, Event(EventType.ARRIVE, None))
+            self.loop.post(0.0, EventType.ARRIVE)
         return super().run()
 
 

@@ -1402,7 +1402,8 @@ class TestCliAndMeta:
         proc = subprocess.run(
             [sys.executable, "-m", "mypy", "-p", "repro.core",
              "-p", "repro.parallel", "-p", "repro.cluster",
-             "-m", "repro.sim.events", "-m", "repro.sim.concurrent"],
+             "-m", "repro.sim.events", "-m", "repro.sim.concurrent",
+             "-m", "repro.flash.channels"],
             cwd=REPO_ROOT, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 

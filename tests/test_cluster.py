@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
     ARRIVAL_PATTERNS,
@@ -127,6 +128,35 @@ class TestHashRing:
                 survivors = [shard for shard in home if shard != 3]
                 assert [shard for shard in moved
                         if shard in survivors] == survivors
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(warm=st.lists(st.integers(0, 1 << 20), max_size=60),
+           page=st.integers(0, 1 << 20),
+           replicas=st.integers(0, 6),
+           exclude=st.frozensets(st.integers(0, 6), max_size=6))
+    def test_warm_ring_routes_like_a_fresh_one(self, warm, page, replicas,
+                                               exclude):
+        """Memoised key positions never change a route or an error."""
+        def query(ring):
+            try:
+                return ring.route_replicas(page, replicas, exclude=exclude)
+            except ClusterError as error:
+                return str(error)
+
+        fresh = HashRing(range(5), vnodes=16)
+        expected = query(fresh)
+        fresh_routes = [fresh.route(key) for key in warm]
+        warmed = HashRing(range(5), vnodes=16)
+        for key in warm + [page]:
+            warmed.route(key)
+            warmed.route_replicas(key, 2, exclude=(key % 5,))
+        assert query(warmed) == expected
+        assert [warmed.route(key) for key in warm] == fresh_routes
+        live = len(set(range(5)) - exclude)
+        if replicas < 1 or replicas > live:
+            with pytest.raises(ClusterError):
+                warmed.route_replicas(page, replicas, exclude=exclude)
 
 
 class TestArrivals:

@@ -17,7 +17,7 @@ from repro.flash.geometry import PageAddress
 from repro.parallel import sweep
 from repro.sim.concurrent import run_trace_concurrent
 from repro.sim.engine import QueueingStats, run_trace
-from repro.sim.events import Event, EventLoop, EventType
+from repro.sim.events import EventLoop, EventType
 from repro.telemetry import LatencyHistogram
 from repro.workloads.macro import build_workload
 from repro.workloads.postpdc import derive_disk_trace
@@ -27,18 +27,18 @@ class TestEventLoop:
     def test_orders_by_time(self):
         loop = EventLoop()
         seen = []
-        loop.register(EventType.ARRIVE, lambda e: seen.append(e.payload))
-        loop.post(5.0, Event(EventType.ARRIVE, "late"))
-        loop.post(1.0, Event(EventType.ARRIVE, "early"))
+        loop.register(EventType.ARRIVE, lambda payload: seen.append(payload))
+        loop.post(5.0, EventType.ARRIVE, "late")
+        loop.post(1.0, EventType.ARRIVE, "early")
         loop.run()
         assert seen == ["early", "late"]
 
     def test_ties_break_in_post_order(self):
         loop = EventLoop()
         seen = []
-        loop.register(EventType.ARRIVE, lambda e: seen.append(e.payload))
+        loop.register(EventType.ARRIVE, lambda payload: seen.append(payload))
         for i in range(20):
-            loop.post(3.0, Event(EventType.ARRIVE, i))
+            loop.post(3.0, EventType.ARRIVE, i)
         loop.run()
         assert seen == list(range(20))
 
@@ -46,8 +46,8 @@ class TestEventLoop:
         loop = EventLoop()
         times = []
         loop.register(EventType.ARRIVE, lambda e: times.append(loop.now_us))
-        loop.post(2.0, Event(EventType.ARRIVE, None))
-        loop.post(7.0, Event(EventType.ARRIVE, None))
+        loop.post(2.0, EventType.ARRIVE)
+        loop.post(7.0, EventType.ARRIVE)
         assert loop.now_us == 0.0
         end = loop.run()
         assert times == [2.0, 7.0]
@@ -56,13 +56,13 @@ class TestEventLoop:
     def test_posting_into_the_past_raises(self):
         loop = EventLoop()
         loop.register(EventType.ARRIVE, lambda e: None)
-        loop.post(5.0, Event(EventType.ARRIVE, None))
+        loop.post(5.0, EventType.ARRIVE)
         while loop.step() is not None:
             pass
         with pytest.raises(ValueError):
-            loop.post_at(1.0, Event(EventType.ARRIVE, None))
+            loop.post_at(1.0, EventType.ARRIVE)
         with pytest.raises(ValueError):
-            loop.post(-1.0, Event(EventType.ARRIVE, None))
+            loop.post(-1.0, EventType.ARRIVE)
 
     def test_duplicate_registration_rejected(self):
         loop = EventLoop()
@@ -72,7 +72,7 @@ class TestEventLoop:
 
     def test_unhandled_event_type_raises(self):
         loop = EventLoop()
-        loop.post(0.0, Event(EventType.REJOIN, None))
+        loop.post(0.0, EventType.REJOIN)
         with pytest.raises(KeyError):
             loop.run()
 
@@ -80,12 +80,74 @@ class TestEventLoop:
         loop = EventLoop()
         loop.register(EventType.ARRIVE, lambda e: None)
         loop.register(EventType.COMPLETE, lambda e: None)
-        loop.post(0.0, Event(EventType.ARRIVE, None))
-        loop.post(1.0, Event(EventType.ARRIVE, None))
-        loop.post(2.0, Event(EventType.COMPLETE, None))
+        loop.post(0.0, EventType.ARRIVE)
+        loop.post(1.0, EventType.ARRIVE)
+        loop.post(2.0, EventType.COMPLETE)
         loop.run()
         assert loop.dispatched[EventType.ARRIVE] == 2
         assert loop.dispatched[EventType.COMPLETE] == 1
+
+    def test_nan_instants_rejected(self):
+        # NaN fails every ordered comparison, so a guard written as
+        # `delay < 0` or `time < now` lets it through and poisons now_us.
+        loop = EventLoop()
+        loop.register(EventType.ARRIVE, lambda e: None)
+        with pytest.raises(ValueError):
+            loop.post(float("nan"), EventType.ARRIVE)
+        with pytest.raises(ValueError):
+            loop.post_at(float("nan"), EventType.ARRIVE)
+        assert loop.pending == 0
+        loop.post(4.0, EventType.ARRIVE)
+        assert loop.run() == 4.0
+        with pytest.raises(ValueError):
+            loop.post_at(1.0, EventType.ARRIVE)
+
+    @settings(max_examples=200, deadline=None)
+    @given(initial=st.lists(st.tuples(
+               st.floats(0.0, 100.0), st.sampled_from(list(EventType))),
+               min_size=1, max_size=25),
+           chained=st.lists(st.tuples(
+               st.floats(0.0, 30.0), st.sampled_from(list(EventType)),
+               st.booleans()), max_size=40))
+    def test_dispatch_order_is_time_then_post_index(self, initial,
+                                                    chained):
+        """Posts made up front and from inside handlers (relative or
+        absolute) dispatch sorted by (time, post index), with a
+        non-decreasing clock and matching per-type counts."""
+        loop = EventLoop()
+        posted = []  # (time_us, post index, type)
+        fired = []  # (now_us, post index)
+        follow_ups = iter(chained)
+
+        def post(delay_us, event_type, absolute=False):
+            index = len(posted)
+            posted.append((loop.now_us + delay_us, index, event_type))
+            if absolute:
+                loop.post_at(loop.now_us + delay_us, event_type, index)
+            else:
+                loop.post(delay_us, event_type, index)
+
+        def handler(index):
+            fired.append((loop.now_us, index))
+            follow_up = next(follow_ups, None)
+            if follow_up is not None:
+                post(*follow_up)
+
+        for event_type in EventType:
+            loop.register(event_type, handler)
+        for delay_us, event_type in initial:
+            post(delay_us, event_type)
+        end_us = loop.run()
+        expected = sorted(posted)
+        assert [index for _, index in fired] == \
+            [index for _, index, _ in expected]
+        assert [now for now, _ in fired] == [time for time, _, _ in expected]
+        clock = [now for now, _ in fired]
+        assert clock == sorted(clock) and end_us == clock[-1]
+        counts = {}
+        for _, _, event_type in posted:
+            counts[event_type] = counts.get(event_type, 0) + 1
+        assert loop.dispatched == counts
 
 
 class TestNandScheduler:
@@ -119,6 +181,15 @@ class TestNandScheduler:
         assert span == 500.0
         (util,) = sched.utilization(span)
         assert util == pytest.approx(1.0)
+
+    def test_rejects_nan_latency(self):
+        sched = NandScheduler(ChannelConfig())
+        with pytest.raises(ValueError):
+            sched.schedule(0.0, float("nan"))
+        # The plane's free time was not poisoned.
+        placed = sched.schedule(0.0, 10.0)
+        assert (placed.start_us, placed.end_us) == (0.0, 10.0)
+        assert sched.horizon_us() == 10.0
 
     def test_rejects_negative_latency(self):
         sched = NandScheduler(ChannelConfig())
@@ -220,6 +291,40 @@ class TestOpCapture:
                 device.read_page(address)
         assert len(inner) == 1
         assert len(outer) == 2
+
+    def test_nested_capture_keeps_issue_order(self):
+        device = FlashDevice()
+        addresses = [PageAddress(block=block, frame=0) for block in range(3)]
+        for address in addresses:
+            device.program_page(address)
+        outer, inner = [], []
+        with device.capture_ops(outer):
+            device.read_page(addresses[0])
+            with device.capture_ops(inner):
+                device.read_page(addresses[1])
+            device.read_page(addresses[2])
+        assert [(op.kind, op.block) for op in outer] == [
+            ("read", 0), ("read", 1), ("read", 2)]
+        assert [(op.kind, op.block) for op in inner] == [("read", 1)]
+
+    def test_sink_restored_when_body_raises(self):
+        device = FlashDevice()
+        address = PageAddress(block=0, frame=0)
+        device.program_page(address)
+        outer, inner = [], []
+        with pytest.raises(RuntimeError):
+            with device.capture_ops(outer):
+                with pytest.raises(RuntimeError):
+                    with device.capture_ops(inner):
+                        device.read_page(address)
+                        raise RuntimeError("inner")
+                assert device.op_sink is outer
+                raise RuntimeError("outer")
+        assert device.op_sink is None
+        # The ops issued before the raise still reached both captures.
+        assert len(inner) == 1 and len(outer) == 1
+        device.read_page(address)
+        assert len(inner) == 1 and len(outer) == 1
 
 
 class TestHierarchySubmit:
