@@ -43,8 +43,18 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..flash.device import EraseFailure, ProgramFailure
 from ..flash.geometry import PageAddress
@@ -185,16 +195,14 @@ class CacheStats:
         return self.gc_time_us / self.foreground_time_us
 
 
-@dataclass(frozen=True)
-class FlashReadOutcome:
+class FlashReadOutcome(NamedTuple):
     """Result of a Flash cache read hit."""
 
     latency_us: float
     recovered: bool
 
 
-@dataclass(frozen=True)
-class WriteOutcome:
+class WriteOutcome(NamedTuple):
     """Result of a write into the cache.
 
     ``flushed_lbas`` are dirty pages pushed to disk by a write-region
@@ -532,7 +540,7 @@ class FlashDiskCache:
             self.controller.fgst.record_miss(4200.0)
             if telemetry is not None and telemetry.bus.active:
                 telemetry.cache_miss()
-            return FlashReadOutcome(latency_us=latency, recovered=False)
+            return FlashReadOutcome(latency, False)
 
         self.stats.read_hits += 1
         self.controller.fgst.record_hit(result.latency_us)
@@ -541,13 +549,14 @@ class FlashDiskCache:
         self._touch_block(address.block)
         if result.hot_promotion and self.config.hot_promotion:
             self._promote_to_slc(lba, address)
-        return FlashReadOutcome(latency_us=latency, recovered=True)
+        return FlashReadOutcome(latency, True)
 
     def _touch_block(self, block: int) -> None:
-        for region in self._regions():
-            if block in region.lru:
-                region.touch(block)
-                return
+        read = self._read
+        if block in read.lru:
+            read.touch(block)
+        elif block in self._write.lru:
+            self._write.touch(block)
 
     # -- fills (read misses) -----------------------------------------------------
 

@@ -29,8 +29,8 @@ conventional BCH-1 controller Figure 12 compares against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..ecc.latency import AcceleratorConfig, BCHLatencyModel
 from ..flash.device import DeviceOp, EraseFailure, FlashDevice, ProgramFailure
@@ -102,8 +102,7 @@ class ControllerConfig:
             raise ValueError("program_fail_retire_threshold must be >= 1")
 
 
-@dataclass(frozen=True)
-class ControllerReadResult:
+class ControllerReadResult(NamedTuple):
     """Outcome of a controller-mediated page read."""
 
     latency_us: float
@@ -238,8 +237,10 @@ class ProgrammableFlashController:
         entry = self.fpst.entry(address)
         raw = self.device.read_page(address)
         entry.mode = raw.mode  # FPST reflects the physical frame mode
-        latency = raw.latency_us + self._decode_us(entry.ecc_strength) \
-            + CRC_CHECK_US
+        decode_us = self._decode_cache.get(entry.ecc_strength)
+        if decode_us is None:
+            decode_us = self._decode_us(entry.ecc_strength)
+        latency = raw.latency_us + decode_us + CRC_CHECK_US
         self.stats.reads += 1
 
         errors = raw.raw_bit_errors
@@ -270,13 +271,9 @@ class ProgrammableFlashController:
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.flash_read(latency, retries, recovered)
-        return ControllerReadResult(
-            latency_us=latency,
-            corrected_errors=min(errors, entry.ecc_strength),
-            recovered=recovered,
-            reconfig=reconfig,
-            hot_promotion=hot,
-        )
+        return ControllerReadResult(latency,
+                                    min(errors, entry.ecc_strength),
+                                    recovered, reconfig, hot)
 
     def program(self, address: PageAddress, lba: Optional[int] = None,
                 data: Optional[bytes] = None) -> float:

@@ -150,6 +150,9 @@ class _SystemBase:
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
+        # Read on every request; the config is frozen, so copy them once.
+        self._page_bytes = config.page_bytes
+        self._flush_interval = config.flush_interval_requests
         self.dram = DramModel(size_bytes=config.dram_bytes,
                               power_model_bytes=config.power_model_dram_bytes)
         self.pdc = PrimaryDiskCache(capacity_pages=config.pdc_pages)
@@ -172,13 +175,13 @@ class _SystemBase:
     def read(self, page: int) -> float:
         """Service one page read; returns foreground latency (us)."""
         self.stats.reads += 1
-        latency = self.dram.read(self.config.page_bytes)
+        latency = self.dram.read(self._page_bytes)
         hit, evictions = self.pdc.read(page)
         if not hit:
             latency += self._fill_from_below(page)
-            for eviction in evictions:
-                if eviction.dirty:
-                    self._write_back(eviction.page)
+            for victim, dirty in evictions:
+                if dirty:
+                    self._write_back(victim)
         self.stats.total_latency_us += latency
         telemetry = self.telemetry
         if telemetry is not None:
@@ -189,11 +192,11 @@ class _SystemBase:
     def write(self, page: int) -> float:
         """Service one page write (into the PDC, write-back)."""
         self.stats.writes += 1
-        latency = self.dram.write(self.config.page_bytes)
+        latency = self.dram.write(self._page_bytes)
         hit, evictions = self.pdc.write(page)
-        for eviction in evictions:
-            if eviction.dirty:
-                self._write_back(eviction.page)
+        for victim, dirty in evictions:
+            if dirty:
+                self._write_back(victim)
         self.stats.total_latency_us += latency
         telemetry = self.telemetry
         if telemetry is not None:
@@ -254,7 +257,7 @@ class _SystemBase:
 
     def _tick_flush(self) -> None:
         self._requests_since_flush += 1
-        if self._requests_since_flush >= self.config.flush_interval_requests:
+        if self._requests_since_flush >= self._flush_interval:
             self._requests_since_flush = 0
             self._periodic_flush()
 
@@ -271,11 +274,16 @@ class _SystemBase:
 
     def process(self, record: TraceRecord) -> float:
         """Apply one trace record (multi-page extents expand)."""
+        # Branch once per record, but call through ``self`` for every
+        # page, so instrumentation that wraps the methods sees each one.
         total = 0.0
-        for page in record.expand():
-            if record.is_read:
+        first = record.page
+        pages = range(first, first + record.pages)
+        if record.is_read:
+            for page in pages:
                 total += self.read(page)
-            else:
+        else:
+            for page in pages:
                 total += self.write(page)
         return total
 
@@ -323,7 +331,7 @@ class DramOnlySystem(_SystemBase):
     def _fill_from_below(self, page: int) -> float:
         self.stats.disk_fills += 1
         latency = self.disk.read()
-        latency += self.dram.write(self.config.page_bytes)
+        latency += self.dram.write(self._page_bytes)
         return latency
 
     def _write_back(self, page: int) -> None:
@@ -360,13 +368,13 @@ class FlashBackedSystem(_SystemBase):
         outcome = self.flash.read(page)
         if outcome is not None and outcome.recovered:
             self.stats.flash_fills += 1
-            return outcome.latency_us + self.dram.write(self.config.page_bytes)
+            return outcome.latency_us + self.dram.write(self._page_bytes)
         # Flash miss (or CRC-failed page): fetch from disk, fill both the
         # PDC (synchronously) and the Flash read cache (in the background).
         latency = (outcome.latency_us if outcome is not None else 0.0)
         self.stats.disk_fills += 1
         latency += self.disk.read()
-        latency += self.dram.write(self.config.page_bytes)
+        latency += self.dram.write(self._page_bytes)
         self.background_us += self.flash.insert_clean(page)
         return latency
 

@@ -40,7 +40,7 @@ __all__ = [
 ACCESS_COUNTER_MAX = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class FPSTEntry:
     """Flash page status: ECC strength, density mode, hotness, validity."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List, NamedTuple, Sequence
 
 __all__ = ["PdcStats", "Eviction", "PrimaryDiskCache"]
 
@@ -48,12 +48,16 @@ class PdcStats:
         return misses / total if total else 0.0
 
 
-@dataclass(frozen=True)
-class Eviction:
+class Eviction(NamedTuple):
     """A page pushed out of the PDC; ``dirty`` pages must be written back."""
 
     page: int
     dirty: bool
+
+
+#: What a hit returns: nothing was evicted.  One shared empty tuple, so
+#: the hit path allocates nothing.
+_NO_EVICTIONS: Sequence[Eviction] = ()
 
 
 class PrimaryDiskCache:
@@ -85,7 +89,7 @@ class PrimaryDiskCache:
 
     # -- accesses -------------------------------------------------------------
 
-    def read(self, page: int) -> tuple[bool, List[Eviction]]:
+    def read(self, page: int) -> tuple[bool, Sequence[Eviction]]:
         """Look up ``page`` for a read.
 
         Returns ``(hit, evictions)``.  On a miss the page is installed
@@ -95,17 +99,17 @@ class PrimaryDiskCache:
         if page in self._pages:
             self._pages.move_to_end(page)
             self.stats.read_hits += 1
-            return True, []
+            return True, _NO_EVICTIONS
         self.stats.read_misses += 1
         return False, self._install(page, dirty=False)
 
-    def write(self, page: int) -> tuple[bool, List[Eviction]]:
+    def write(self, page: int) -> tuple[bool, Sequence[Eviction]]:
         """Write ``page``: mark dirty, installing it on a miss."""
         if page in self._pages:
             self._pages[page] = True
             self._pages.move_to_end(page)
             self.stats.write_hits += 1
-            return True, []
+            return True, _NO_EVICTIONS
         self.stats.write_misses += 1
         return False, self._install(page, dirty=True)
 
@@ -132,7 +136,3 @@ class PrimaryDiskCache:
         for page in flushed:
             self._pages[page] = False
         return flushed
-
-    def lru_order(self) -> Iterator[int]:
-        """Pages from least- to most-recently used (for tests/inspection)."""
-        return iter(self._pages)

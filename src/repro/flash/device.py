@@ -28,7 +28,7 @@ metadata-only for speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, NamedTuple, Optional
 
@@ -133,8 +133,7 @@ class PageState:
     PROGRAMMED = 1
 
 
-@dataclass(frozen=True)
-class ReadResult:
+class ReadResult(NamedTuple):
     """Outcome of a page read."""
 
     latency_us: float
@@ -143,14 +142,12 @@ class ReadResult:
     mode: CellMode
 
 
-@dataclass(frozen=True)
-class ProgramResult:
+class ProgramResult(NamedTuple):
     latency_us: float
     mode: CellMode
 
 
-@dataclass(frozen=True)
-class EraseResult:
+class EraseResult(NamedTuple):
     latency_us: float
     erase_count: int
 
@@ -185,7 +182,7 @@ class FlashStats:
         return idle_w * idle_us * 1e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     """One physical page frame: mode, per-subpage state, wear."""
 
@@ -279,6 +276,12 @@ class FlashDevice:
         self.op_sink: Optional[List[DeviceOp]] = None
         self._rng = Random(seed)
         self._erase_counts: List[int] = [0] * geometry.num_blocks
+        # The per-page hot paths read these instead of going through the
+        # frozen geometry/timing objects on every operation.
+        self._num_blocks = geometry.num_blocks
+        self._frames_per_block = geometry.frames_per_block
+        self._read_us = {mode: timing.read_us(mode) for mode in CellMode}
+        self._write_us = {mode: timing.write_us(mode) for mode in CellMode}
         # Frames are created lazily: large devices in metadata-only runs
         # only materialise the blocks a workload actually touches.
         self._frames: Dict[tuple[int, int], _Frame] = {}
@@ -352,12 +355,6 @@ class FlashDevice:
         self._check_block(block)
         return self._erase_counts[block]
 
-    def frame_damage(self, block: int, frame: int) -> float:
-        # Pure query, same reasoning as frame_mode: untouched frames
-        # carry zero damage by construction.
-        existing = self._frames.get((block, frame))
-        return existing.damage if existing is not None else 0.0
-
     def page_state(self, address: PageAddress) -> int:
         frame = self._frame(address.block, address.frame)
         self.geometry.validate_address(address, frame.mode)
@@ -367,38 +364,42 @@ class FlashDevice:
 
     def read_page(self, address: PageAddress) -> ReadResult:
         """Read one page: returns latency, raw bit errors, optional data."""
-        frame = self._frame(address.block, address.frame)
-        self.geometry.validate_address(address, frame.mode)
-        latency = self.timing.read_us(frame.mode)
-        self.stats.reads += 1
-        self.stats.record(latency, self.power.active_w, kind="read")
+        block, frame_index, subpage = address
+        frame = self._frames.get((block, frame_index))
+        if frame is None:
+            frame = self._frame(block, frame_index)
+        mode = frame.mode
+        if (block >= self._num_blocks
+                or frame_index >= self._frames_per_block
+                or (subpage and mode is CellMode.SLC)):
+            self.geometry.validate_address(address, mode)
+        latency = self._read_us[mode]
+        stats = self.stats
+        stats.reads += 1
+        stats.record(latency, self.power.active_w, "read")
         self.clock_us += latency
         sink = self.op_sink
         if sink is not None:
-            sink.append(DeviceOp("read", address.block, latency))
+            sink.append(DeviceOp("read", block, latency))
         # No telemetry hook here: nand.reads is harvested from
         # DeviceStats at end of run (Telemetry.harvest_cache_counters).
         errors = self._raw_bit_errors(frame)
         injector = self.fault_injector
         if injector is not None:
-            if injector.block_dead(address.block):
+            if injector.block_dead(block):
                 self._kill_frame(frame)
                 errors = self.geometry.cells_per_frame
             else:
-                errors += injector.read_fault_bits(address.block,
-                                                   address.frame)
+                errors += injector.read_fault_bits(block, frame_index)
         model = self.reliability
         if model is not None:
             errors += model.read_errors(
-                address.block, address.frame, frame.damage, frame.mode,
+                block, frame_index, frame.damage, mode,
                 self.clock_us, self.geometry.cells_per_frame)
-            model.note_read(address.block, address.frame)
-        return ReadResult(
-            latency_us=latency,
-            raw_bit_errors=errors,
-            data=frame.data[address.subpage] if frame.data is not None else None,
-            mode=frame.mode,
-        )
+            model.note_read(block, frame_index)
+        data = frame.data
+        return ReadResult(latency, errors,
+                          data[subpage] if data is not None else None, mode)
 
     def program_page(self, address: PageAddress,
                      data: Optional[bytes] = None) -> ProgramResult:
@@ -408,9 +409,17 @@ class FlashDevice:
         :class:`ProgramFailure` — the attempt burns the page (it needs an
         erase before any retry) and costs the full program latency.
         """
-        frame = self._frame(address.block, address.frame)
-        self.geometry.validate_address(address, frame.mode)
-        if frame.states[address.subpage] != PageState.ERASED:
+        block, frame_index, subpage = address
+        frame = self._frames.get((block, frame_index))
+        if frame is None:
+            frame = self._frame(block, frame_index)
+        mode = frame.mode
+        if (block >= self._num_blocks
+                or frame_index >= self._frames_per_block
+                or (subpage and mode is CellMode.SLC)):
+            self.geometry.validate_address(address, mode)
+        states = frame.states
+        if states[subpage] != PageState.ERASED:
             raise ProgramError(
                 f"page {address} is not erased; NAND requires a block erase "
                 f"before reprogramming"
@@ -420,40 +429,41 @@ class FlashDevice:
                 f"payload of {len(data)} bytes exceeds page size "
                 f"{self.geometry.page_data_bytes}"
             )
-        latency = self.timing.write_us(frame.mode)
+        latency = self._write_us[mode]
+        stats = self.stats
         injector = self.fault_injector
         if injector is not None and (
-                injector.block_dead(address.block)
-                or injector.program_fault(address.block, address.frame)):
+                injector.block_dead(block)
+                or injector.program_fault(block, frame_index)):
             # The failed attempt still occupies the plane for the full
             # program time and leaves the page in an indeterminate
             # (non-erased) state.
-            frame.states[address.subpage] = PageState.PROGRAMMED
-            self.stats.programs += 1
-            self.stats.record(latency, self.power.active_w, kind="program")
+            states[subpage] = PageState.PROGRAMMED
+            stats.programs += 1
+            stats.record(latency, self.power.active_w, "program")
             self.clock_us += latency
             sink = self.op_sink
             if sink is not None:
-                sink.append(DeviceOp("program", address.block, latency))
+                sink.append(DeviceOp("program", block, latency))
             telemetry = self.telemetry
             if telemetry is not None:
                 telemetry.nand_fault("program")
             raise ProgramFailure(address, latency_us=latency)
-        frame.states[address.subpage] = PageState.PROGRAMMED
+        states[subpage] = PageState.PROGRAMMED
         if frame.data is not None:
-            frame.data[address.subpage] = data
-        self.stats.programs += 1
-        self.stats.record(latency, self.power.active_w, kind="program")
+            frame.data[subpage] = data
+        stats.programs += 1
+        stats.record(latency, self.power.active_w, "program")
         self.clock_us += latency
         sink = self.op_sink
         if sink is not None:
-            sink.append(DeviceOp("program", address.block, latency))
+            sink.append(DeviceOp("program", block, latency))
         model = self.reliability
         if model is not None:
-            model.note_program(address.block, address.frame, self.clock_us)
+            model.note_program(block, frame_index, self.clock_us)
         # No telemetry hook here: nand.* counters are harvested from
         # DeviceStats at end of run (Telemetry.harvest_cache_counters).
-        return ProgramResult(latency_us=latency, mode=frame.mode)
+        return ProgramResult(latency, mode)
 
     def erase_block(
         self,
@@ -529,7 +539,8 @@ class FlashDevice:
             self._sampler(frame).kill()
 
     def _raw_bit_errors(self, frame: _Frame) -> int:
-        errors = self._transient_errors()
+        errors = (self._transient_errors()
+                  if self.soft_error_rate_per_bit > 0.0 else 0)
         if self.lifetime_model is None or frame.damage <= 0:
             return errors
         sensitivity = (
@@ -540,11 +551,9 @@ class FlashDevice:
 
     def _transient_errors(self) -> int:
         """Soft (non-persistent) errors for one read: Poisson-distributed
-        with mean cells * rate, which is exact in the rare-error regime."""
-        rate = self.soft_error_rate_per_bit
-        if rate <= 0.0:
-            return 0
-        mean = rate * self.geometry.cells_per_frame
+        with mean cells * rate, which is exact in the rare-error regime.
+        Only called with a positive rate."""
+        mean = self.soft_error_rate_per_bit * self.geometry.cells_per_frame
         # Knuth's algorithm suffices for the small means reliability
         # studies use (mean >> 10 would make every read uncorrectable).
         import math

@@ -17,6 +17,7 @@ frame and must be 0 for SLC frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Iterable, NamedTuple
 
 from .timing import CellMode
 
@@ -27,21 +28,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PageAddress:
-    """Physical address of one logical Flash page.
-
-    ``subpage`` is 0 for SLC frames, and 0 or 1 for the two MLC pages that
-    share a frame.
-    """
-
+class _PageAddressFields(NamedTuple):
     block: int
     frame: int
     subpage: int = 0
 
-    def __post_init__(self) -> None:
-        if self.block < 0 or self.frame < 0 or self.subpage not in (0, 1):
-            raise ValueError(f"invalid page address {self!r}")
+
+class PageAddress(_PageAddressFields):
+    """Physical address of one logical Flash page.
+
+    ``subpage`` is 0 for SLC frames, and 0 or 1 for the two MLC pages that
+    share a frame.
+
+    A validated tuple: hashing and equality run in C on every FPST, FCHT
+    and region-set probe.  The hash is ``hash((block, frame, subpage))``,
+    the value a frozen dataclass with these fields produces, so sets and
+    dicts keyed by addresses iterate in the same order either way.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, block: int, frame: int,
+                subpage: int = 0) -> "PageAddress":
+        if block < 0 or frame < 0 or subpage not in (0, 1):
+            raise ValueError(
+                f"invalid page address PageAddress(block={block!r}, "
+                f"frame={frame!r}, subpage={subpage!r})")
+        return tuple.__new__(cls, (block, frame, subpage))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "PageAddress":
+        # namedtuple's _make (and _replace, which calls it) bypasses
+        # __new__; route both through the validating constructor.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -79,10 +98,6 @@ class FlashGeometry:
     def cells_per_frame(self) -> int:
         """One cell per MLC bit: a frame physically holds 2 MLC pages."""
         return (self.page_data_bytes + self.page_spare_bytes) * 8
-
-    @property
-    def cells_per_block(self) -> int:
-        return self.cells_per_frame * self.frames_per_block
 
     def data_cells_per_page(self, mode: CellMode) -> int:
         """Cells backing one logical page's data+spare area.

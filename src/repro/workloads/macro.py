@@ -156,12 +156,19 @@ def generate_macro_trace(spec: MacroWorkloadSpec, num_records: int,
 
     ``footprint_pages`` overrides the spec's natural footprint — used by
     experiments that scale working sets down to simulation-friendly sizes
-    the way the paper scaled its benchmarks (section 6.1).
+    the way the paper scaled its benchmarks (section 6.1).  ``None``
+    keeps the natural one; an override must be at least one page.
     """
     if num_records < 0:
         raise ValueError("num_records must be non-negative")
+    if footprint_pages is None:
+        n = spec.footprint_pages
+    elif footprint_pages < 1:
+        raise ValueError(
+            f"footprint_pages must be at least 1, got {footprint_pages}")
+    else:
+        n = footprint_pages
     rng = Random(seed)
-    n = footprint_pages or spec.footprint_pages
     distribution = spec.make_distribution(n)
     log_cursor = 0
     # Reserve the top 5% of the footprint as the sequential log region.
@@ -213,7 +220,8 @@ def build_workload(name: str, num_records: int, seed: int = 1234,
             spec, num_records, seed=seed, footprint_pages=footprint_pages))
     if name in _MICRO_SPECS:
         config = SyntheticConfig(
-            footprint_pages=footprint_pages or SyntheticConfig().footprint_pages,
+            footprint_pages=(SyntheticConfig().footprint_pages
+                             if footprint_pages is None else footprint_pages),
             num_records=num_records,
             read_fraction=0.9 if read_fraction is None else read_fraction,
             seed=seed,

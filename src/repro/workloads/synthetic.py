@@ -21,7 +21,9 @@ dedicated to the read cache").
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Iterator, List, Sequence
 
@@ -90,8 +92,8 @@ class UniformPopularity(PopularityDistribution):
 class ZipfPopularity(PopularityDistribution):
     """Bounded Zipf: P(rank k) proportional to (k+1)^-alpha.
 
-    Sampling uses binary search on the precomputed CDF; for the 256K-page
-    micro footprint this costs ~18 comparisons per draw.
+    Sampling bisects the precomputed CDF; for the 256K-page micro
+    footprint this costs ~18 comparisons per draw.
     """
 
     def __init__(self, n: int, alpha: float):
@@ -110,14 +112,9 @@ class ZipfPopularity(PopularityDistribution):
         self._total = total
 
     def sample_rank(self, u: float) -> int:
-        lo, hi = 0, self.n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        # The first rank whose CDF reaches u; the search never reads the
+        # last entry, so a draw past every other entry lands on n - 1.
+        return bisect_left(self._cdf, u, 0, self.n - 1)
 
     def rank_probability(self, rank: int) -> float:
         return (rank + 1) ** -self.alpha / self._total
@@ -148,16 +145,22 @@ class ExponentialPopularity(PopularityDistribution):
         return mass / (1.0 - self._tail)
 
 
+@lru_cache(maxsize=64)
+def _scatter_multiplier(n: int) -> int:
+    """Knuth's golden-ratio constant, nudged until it is coprime to n."""
+    multiplier = 2_654_435_761  # odd
+    while math.gcd(multiplier, n) != 1:
+        multiplier += 2
+    return multiplier
+
+
 def _scatter(rank: int, n: int) -> int:
     """Bijective affine map spreading popularity ranks across the space.
 
     Multiplication by an odd constant modulo n is a bijection when
-    gcd(a, n) = 1; we nudge the multiplier until that holds.
+    gcd(a, n) = 1; the multiplier is nudged until that holds, once per n.
     """
-    multiplier = 2_654_435_761  # Knuth's golden-ratio constant (odd)
-    while math.gcd(multiplier, n) != 1:
-        multiplier += 2
-    return (rank * multiplier + 12_345) % n
+    return (rank * _scatter_multiplier(n) + 12_345) % n
 
 
 def generate_trace(distribution: PopularityDistribution,

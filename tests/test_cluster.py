@@ -200,6 +200,16 @@ class TestArrivals:
                                           "specweb99",
                                           footprint_pages=4096, seed=7)
 
+    def test_cli_refuses_a_zero_footprint(self, capsys):
+        """``--footprint-pages 0`` used to run over specweb99's natural
+        1.8 GB footprint; it is now a usage error."""
+        from repro.__main__ import main
+
+        assert main(["cluster", "--footprint-pages", "0",
+                     "--duration", "0.01", "--quiet"]) == 2
+        assert "footprint_pages must be at least 1" \
+            in capsys.readouterr().err
+
 
 class TestChaosSchedule:
     def test_validation_rejects_malformed_timelines(self):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.disk.model import DESKTOP_DISK_POWER, LAPTOP_DISK_POWER, DiskModel
 from repro.dram.model import DramModel, DDR2_BANDWIDTH_BYTES_PER_US
-from repro.dram.page_cache import PrimaryDiskCache
+from repro.dram.page_cache import Eviction, PrimaryDiskCache
 
 
 class TestDramModel:
@@ -81,6 +81,22 @@ class TestPrimaryDiskCache:
         pdc.write(5)
         _, evictions = pdc.read(6)
         assert evictions[0].page == 5 and evictions[0].dirty
+
+    def test_hits_evict_nothing_and_allocate_nothing(self):
+        pdc = PrimaryDiskCache(capacity_pages=4)
+        pdc.read(1)
+        pdc.write(2)
+        _, read_hit = pdc.read(1)
+        _, write_hit = pdc.write(2)
+        assert read_hit == () and write_hit == ()
+        assert read_hit is write_hit  # one shared empty sequence
+
+    def test_eviction_record(self):
+        pdc = PrimaryDiskCache(capacity_pages=1)
+        pdc.write(4)
+        _, evictions = pdc.write(8)
+        assert evictions == [Eviction(page=4, dirty=True)]
+        assert Eviction._fields == ("page", "dirty")
 
     def test_write_marks_dirty_until_flush(self):
         pdc = PrimaryDiskCache(capacity_pages=4)

@@ -8,9 +8,12 @@ import pytest
 
 from repro.flash.device import (
     EraseError,
+    EraseResult,
     FlashDevice,
     PageState,
     ProgramError,
+    ProgramResult,
+    ReadResult,
     MLC_READ_SENSITIVITY,
 )
 from repro.flash.geometry import FlashGeometry, PageAddress
@@ -180,3 +183,53 @@ class TestAccounting:
         device.read_page(PageAddress(0, 0, 0))
         idle = device.stats.idle_energy(1_000_000.0, 6e-6)
         assert idle == pytest.approx(6e-6 * (1_000_000 - 50) * 1e-6)
+
+
+class TestAddressBounds:
+    """read_page and program_page check bounds inline and fall back to
+    the geometry's validation, so the errors name the violated bound."""
+
+    CASES = [
+        (PageAddress(8, 0, 0),
+         "block 8 out of range (device has 8 blocks)"),
+        (PageAddress(0, 4, 0),
+         "frame 4 out of range (blocks have 4 frames)"),
+        (PageAddress(0, 0, 1), "subpage 1 invalid for slc frame"),
+    ]
+
+    @pytest.mark.parametrize("address,message", CASES)
+    @pytest.mark.parametrize("op", ["read_page", "program_page"])
+    def test_out_of_range_messages(self, device, op, address, message):
+        device.erase_block(0, new_modes={0: CellMode.SLC})
+        with pytest.raises(IndexError) as raised:
+            getattr(device, op)(address)
+        assert str(raised.value) == message
+
+    def test_failed_access_changes_no_stats(self, device):
+        with pytest.raises(IndexError):
+            device.read_page(PageAddress(0, 9, 0))
+        with pytest.raises(IndexError):
+            device.program_page(PageAddress(9, 0, 0))
+        assert (device.stats.reads, device.stats.programs) == (0, 0)
+        assert device.clock_us == 0.0
+
+    def test_mlc_frame_takes_both_subpages(self, device):
+        for subpage in (0, 1):
+            address = PageAddress(7, 3, subpage)
+            device.program_page(address)
+            assert device.read_page(address).mode is CellMode.MLC
+
+
+class TestOpRecords:
+    """Per-op results are named tuples with the historical fields."""
+
+    def test_fields(self, device):
+        assert ReadResult._fields == ("latency_us", "raw_bit_errors",
+                                      "data", "mode")
+        assert ProgramResult._fields == ("latency_us", "mode")
+        assert EraseResult._fields == ("latency_us", "erase_count")
+        programmed = device.program_page(PageAddress(0, 0, 0))
+        assert programmed == ProgramResult(680.0, CellMode.MLC)
+        read = device.read_page(PageAddress(0, 0, 0))
+        assert read == ReadResult(50.0, 0, None, CellMode.MLC)
+        assert device.erase_block(0) == EraseResult(3300.0, 1)

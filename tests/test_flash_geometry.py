@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,3 +80,70 @@ class TestCapacitySizing:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             FlashGeometry.for_capacity(0)
+
+
+@dataclass(frozen=True)
+class _DataclassAddress:
+    """The frozen-dataclass form PageAddress had before it became a
+    tuple: the reference for hash values and set iteration order."""
+
+    block: int
+    frame: int
+    subpage: int = 0
+
+
+_ADDRESS_PARTS = st.tuples(st.integers(min_value=0, max_value=1 << 40),
+                           st.integers(min_value=0, max_value=1 << 20),
+                           st.sampled_from((0, 1)))
+
+
+class TestPageAddressTuple:
+    """PageAddress is a validated tuple that hashes like the old frozen
+    dataclass, so every set and dict keyed by addresses keeps its order."""
+
+    @given(parts=_ADDRESS_PARTS)
+    def test_hash_is_the_field_tuple_hash(self, parts):
+        address = PageAddress(*parts)
+        assert hash(address) == hash(parts)
+        assert hash(address) == hash(_DataclassAddress(*parts))
+
+    @given(parts=st.lists(_ADDRESS_PARTS, max_size=200))
+    def test_set_iteration_order_matches_the_dataclass(self, parts):
+        ordered = [tuple(a) for a in set(PageAddress(*p) for p in parts)]
+        reference = [(a.block, a.frame, a.subpage)
+                     for a in set(_DataclassAddress(*p) for p in parts)]
+        assert ordered == reference
+
+    def test_repr_and_fields(self):
+        address = PageAddress(1, 2)
+        assert repr(address) == "PageAddress(block=1, frame=2, subpage=0)"
+        assert str(address) == repr(address)
+        assert (address.block, address.frame, address.subpage) == (1, 2, 0)
+        assert address == PageAddress(block=1, frame=2, subpage=0)
+        assert PageAddress._fields == ("block", "frame", "subpage")
+
+    def test_no_instance_dict(self):
+        assert not hasattr(PageAddress(0, 0), "__dict__")
+
+    @pytest.mark.parametrize("parts", [(-1, 0, 0), (0, -1, 0), (0, 0, 2),
+                                       (0, 0, -1)])
+    def test_every_constructor_validates(self, parts):
+        with pytest.raises(ValueError, match="invalid page address"):
+            PageAddress(*parts)
+        with pytest.raises(ValueError, match="invalid page address"):
+            PageAddress._make(parts)
+        block, frame, subpage = parts
+        with pytest.raises(ValueError, match="invalid page address"):
+            PageAddress(0, 0)._replace(block=block, frame=frame,
+                                       subpage=subpage)
+
+    def test_replace_and_make_keep_the_type(self):
+        moved = PageAddress(3, 4, 0)._replace(subpage=1)
+        assert type(moved) is PageAddress
+        assert moved == PageAddress(3, 4, 1)
+        assert type(PageAddress._make((5, 6, 1))) is PageAddress
+
+    def test_pickle_round_trip_validates_and_keeps_type(self):
+        address = PageAddress(7, 8, 1)
+        copy = pickle.loads(pickle.dumps(address))
+        assert type(copy) is PageAddress and copy == address

@@ -101,6 +101,19 @@ class TestSpcFormat:
             == [(r.page, r.op, r.pages) for r in records]
 
 
+def _reference_zipf_rank(cdf, n, u):
+    """The hand-written binary search ZipfPopularity.sample_rank used
+    before it called bisect: the reference the bisect must agree with."""
+    lo, hi = 0, n - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cdf[mid] < u:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 class TestPopularityDistributions:
     def test_uniform_probabilities(self):
         dist = UniformPopularity(100)
@@ -127,6 +140,19 @@ class TestPopularityDistributions:
         for dist in (UniformPopularity(64), ZipfPopularity(64, 1.0),
                      ExponentialPopularity(64, 0.1)):
             assert 0 <= dist.sample_rank(u) < 64
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=2000),
+           alpha=st.floats(min_value=0.0, max_value=3.0),
+           data=st.data())
+    def test_zipf_bisect_matches_the_reference_search(self, n, alpha, data):
+        dist = ZipfPopularity(n, alpha)
+        cdf = dist._cdf
+        u = data.draw(st.one_of(
+            st.just(0.0), st.just(1.0),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.sampled_from(cdf)), label="u")
+        assert dist.sample_rank(u) == _reference_zipf_rank(cdf, n, u)
 
     def test_higher_alpha_concentrates_mass(self):
         mild = ZipfPopularity(1000, alpha=0.8)
@@ -166,6 +192,19 @@ class TestMacroRegistry:
                                      footprint_pages=2048)
             assert len(records) == 200
             assert workload_footprint_pages(name) > 0
+
+    @pytest.mark.parametrize("name", ["websearch1", "specweb99", "alpha1",
+                                      "uniform"])
+    @pytest.mark.parametrize("footprint", [0, -1])
+    def test_footprint_below_one_page_rejected(self, name, footprint):
+        """A zero footprint used to fall back to the spec's natural one
+        (websearch1 drew pages up to 2.6M) instead of being refused."""
+        with pytest.raises(ValueError, match="footprint"):
+            build_workload(name, 100, footprint_pages=footprint)
+
+    def test_one_page_footprint_is_honoured(self):
+        records = build_workload("websearch1", 500, footprint_pages=1)
+        assert {r.page for r in records} == {0}
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
