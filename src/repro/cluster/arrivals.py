@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from random import Random
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..parallel import derive_seed
 from ..workloads.macro import build_workload
+from ..workloads.trace import OP_READ
 
 __all__ = ["ARRIVAL_PATTERNS", "Arrival", "intensity",
            "sample_arrival_times", "build_arrivals"]
@@ -41,22 +42,48 @@ ARRIVAL_PATTERNS = ("steady", "diurnal", "flash_crowd", "drain")
 Arrival = Tuple[float, int, int, bool]
 
 
+def _steady(x: float) -> float:
+    return 1.0
+
+
+def _diurnal(x: float) -> float:
+    return 0.15 + 0.85 * 0.5 * (1.0 - math.cos(2.0 * math.pi * x))
+
+
+def _flash_crowd(x: float) -> float:
+    return 1.0 if 0.45 <= x < 0.6 else 0.25
+
+
+def _drain(x: float) -> float:
+    return max(0.0, 1.0 - x)
+
+
+#: Pattern name -> intensity shape, in :data:`ARRIVAL_PATTERNS` order.
+_SHAPES: Dict[str, Callable[[float], float]] = {
+    "steady": _steady,
+    "diurnal": _diurnal,
+    "flash_crowd": _flash_crowd,
+    "drain": _drain,
+}
+
+
+def _shape(pattern: str) -> Callable[[float], float]:
+    """The intensity shape of ``pattern``; raises ``ValueError`` for an
+    unknown name."""
+    shape = _SHAPES.get(pattern)
+    if shape is None:
+        raise ValueError(f"unknown arrival pattern {pattern!r}; "
+                         f"known: {', '.join(ARRIVAL_PATTERNS)}")
+    return shape
+
+
 def intensity(pattern: str, x: float) -> float:
     """Relative arrival intensity in [0, 1] at normalised time ``x``.
 
     ``x`` is the fraction of the run elapsed; the peak rate multiplies
     this shape to give the instantaneous rate.
     """
-    if pattern == "steady":
-        return 1.0
-    if pattern == "diurnal":
-        return 0.15 + 0.85 * 0.5 * (1.0 - math.cos(2.0 * math.pi * x))
-    if pattern == "flash_crowd":
-        return 1.0 if 0.45 <= x < 0.6 else 0.25
-    if pattern == "drain":
-        return max(0.0, 1.0 - x)
-    raise ValueError(f"unknown arrival pattern {pattern!r}; "
-                     f"known: {', '.join(ARRIVAL_PATTERNS)}")
+    return _shape(pattern)(x)
 
 
 def sample_arrival_times(pattern: str, peak_rps: float, duration_s: float,
@@ -67,23 +94,28 @@ def sample_arrival_times(pattern: str, peak_rps: float, duration_s: float,
     process at ``peak_rps`` and survive with probability
     ``intensity(pattern, t/duration)``.  One seeded RNG drives both the
     exponential gaps and the thinning draws, so the stream is a pure
-    function of ``(pattern, peak_rps, duration_s, seed)``.
+    function of ``(pattern, peak_rps, duration_s, seed)``.  An unknown
+    ``pattern`` raises ``ValueError`` before any draw.
     """
     if peak_rps <= 0:
         raise ValueError("peak_rps must be positive")
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
+    shape = _shape(pattern)
     rng = Random(derive_seed(seed, f"cluster:arrivals:{pattern}"))
+    expovariate = rng.expovariate
+    random = rng.random
     duration_us = duration_s * 1e6
     peak_per_us = peak_rps / 1e6
     times: List[float] = []
+    append = times.append
     t_us = 0.0
     while True:
-        t_us += rng.expovariate(peak_per_us)
+        t_us += expovariate(peak_per_us)
         if t_us >= duration_us:
             return times
-        if rng.random() < intensity(pattern, t_us / duration_us):
-            times.append(t_us)
+        if random() < shape(t_us / duration_us):
+            append(t_us)
 
 
 def build_arrivals(pattern: str, peak_rps: float, duration_s: float,
@@ -92,15 +124,14 @@ def build_arrivals(pattern: str, peak_rps: float, duration_s: float,
     """The full open-loop request stream: times zipped with keys.
 
     Keys come from the named macro workload (its generators emit one
-    page per record, so times and requests pair 1:1); the key stream's
-    seed is derived independently of the timing stream's.
+    page per record, so times and records pair 1:1 and each record's
+    first page is its key); the key stream's seed is derived
+    independently of the timing stream's.
     """
     times = sample_arrival_times(pattern, peak_rps, duration_s, seed)
     records = build_workload(workload, num_records=len(times),
                              seed=derive_seed(seed, "cluster:keys"),
                              footprint_pages=footprint_pages)
-    requests = [(page, record.is_read)
-                for record in records for page in record.expand()]
-    return [(time_us, seq, page, is_read)
-            for seq, (time_us, (page, is_read))
-            in enumerate(zip(times, requests))]
+    return [(time_us, seq, page, op == OP_READ)
+            for seq, (time_us, (page, op, _, _))
+            in enumerate(zip(times, records))]

@@ -25,7 +25,9 @@ experiments are reproducible streams, never ad-hoc randomness
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -60,6 +62,18 @@ class ChaosSchedule:
 
     kills: Tuple[KillSpec, ...] = ()
     rejoins: Tuple[RejoinSpec, ...] = ()
+    # The epoch table, derived from the specs in __post_init__ and kept
+    # out of __init__, __eq__, __hash__ and __repr__: the ascending
+    # distinct kill and rejoin instants, and the dead set of each epoch
+    # between them (``_dead[i]`` holds on ``[_instants[i-1],
+    # _instants[i])``, with open ends at both extremes).
+    _instants: List[float] = field(init=False, repr=False, compare=False)
+    _dead: List[FrozenSet[int]] = field(init=False, repr=False,
+                                        compare=False)
+    _kill_at: Dict[int, float] = field(init=False, repr=False,
+                                       compare=False)
+    _rejoin_at: Dict[int, float] = field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self) -> None:
         killed = [kill.shard for kill in self.kills]
@@ -68,6 +82,10 @@ class ChaosSchedule:
                                "dies at most once per run")
         if any(kill.at_us < 0.0 for kill in self.kills):
             raise ClusterError("kill instants must be >= 0")
+        # NaN passes every comparison above and below, and the epoch
+        # table needs instants that order.
+        if any(math.isnan(spec.at_us) for spec in self.kills + self.rejoins):
+            raise ClusterError("kill and rejoin instants must not be NaN")
         kill_at = {kill.shard: kill.at_us for kill in self.kills}
         rejoined = [rejoin.shard for rejoin in self.rejoins]
         if len(set(rejoined)) != len(rejoined):
@@ -82,6 +100,21 @@ class ChaosSchedule:
                     f"shard {rejoin.shard} rejoins at {rejoin.at_us} "
                     f"<= its kill at {kill_at[rejoin.shard]}; repair "
                     f"takes time")
+        rejoin_at = {rejoin.shard: rejoin.at_us for rejoin in self.rejoins}
+        # Membership changes only at these instants, so evaluating the
+        # scripted rule once at each epoch's start gives the whole epoch.
+        instants = sorted({spec.at_us for spec in self.kills}
+                          | set(rejoin_at.values()))
+        dead: List[FrozenSet[int]] = [frozenset()]
+        for start_us in instants:
+            dead.append(frozenset(
+                kill.shard for kill in self.kills
+                if kill.at_us <= start_us
+                and not rejoin_at.get(kill.shard, math.inf) <= start_us))
+        object.__setattr__(self, "_instants", instants)
+        object.__setattr__(self, "_dead", dead)
+        object.__setattr__(self, "_kill_at", kill_at)
+        object.__setattr__(self, "_rejoin_at", rejoin_at)
 
     # -- queries -------------------------------------------------------------
 
@@ -90,28 +123,26 @@ class ChaosSchedule:
         return tuple(sorted(kill.shard for kill in self.kills))
 
     def kill_at(self, shard: int) -> Optional[float]:
-        for kill in self.kills:
-            if kill.shard == shard:
-                return kill.at_us
-        return None
+        return self._kill_at.get(shard)
 
     def rejoin_at(self, shard: int) -> Optional[float]:
-        for rejoin in self.rejoins:
-            if rejoin.shard == shard:
-                return rejoin.at_us
-        return None
+        return self._rejoin_at.get(shard)
 
     def dead_at(self, time_us: float) -> FrozenSet[int]:
         """Shards out of the ring at ``time_us`` per the script alone
         (organic retirements are a run-time discovery, not a plan)."""
-        dead = set()
-        for kill in self.kills:
-            if time_us < kill.at_us:
-                continue
-            rejoin_us = self.rejoin_at(kill.shard)
-            if rejoin_us is None or time_us < rejoin_us:
-                dead.add(kill.shard)
-        return frozenset(dead)
+        return self._dead[bisect_right(self._instants, time_us)]
+
+    def epoch_at(self, time_us: float) -> Tuple[float, float]:
+        """The membership epoch holding ``time_us``, as ``(start_us,
+        end_us)``: every instant in ``[start_us, end_us)`` has the same
+        :meth:`dead_at` set and the same rejoined incarnations.  The
+        first epoch starts at ``-inf`` and the last ends at ``+inf``."""
+        instants = self._instants
+        index = bisect_right(instants, time_us)
+        start_us = instants[index - 1] if index else -math.inf
+        end_us = instants[index] if index < len(instants) else math.inf
+        return start_us, end_us
 
     def stages(self) -> List[Tuple[float, Tuple[int, ...]]]:
         """Scripted kill stages: ``(kill_at_us, shards)`` ascending.

@@ -48,8 +48,8 @@ planner's results exactly.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..parallel import SweepResult, SweepTask, merge_telemetry, sweep
 from ..telemetry import LatencyHistogram, Telemetry
@@ -72,6 +72,8 @@ _BUCKET_FIELDS = ("arrivals", "completed", "shed", "lost", "redirected",
 #: One schedulable engine run: ``(shard_id, incarnation)``.  Incarnation
 #: 0 is the shard's original run; incarnation 1 is its post-repair rerun.
 _Node = Tuple[int, int]
+#: The streams one planned request is appended to.
+_Streams = List[List[Arrival]]
 
 #: Outcome counters summed when merging a shard's incarnations.
 _SUMMED_KEYS = ("arrivals", "completed", "shed", "lost", "lost_reads",
@@ -415,15 +417,14 @@ class _Planner:
             return (shard, 1)
         return (shard, 0)
 
-    def replica_nodes(self, page: int, time_us: float,
-                      is_read: bool) -> List[_Node]:
-        """The nodes a planned request lands on: the first live replica
-        for a read, every live replica for a write."""
+    def replica_nodes(self, page: int, time_us: float) -> List[_Node]:
+        """The nodes holding ``page``'s live replicas at ``time_us``,
+        primary first: a planned read lands on the first, a planned
+        write on all of them."""
         dead = self.chaos.dead_at(time_us)
         targets = self.ring.route_replicas(page, self.scenario.replicas,
                                            exclude=dead)
-        chosen = targets[:1] if is_read else targets
-        return [self.node_for(shard, time_us) for shard in chosen]
+        return [self.node_for(shard, time_us) for shard in targets]
 
     def failover_node(self, page: int, time_us: float) -> _Node:
         """Where failover traffic (a redirect or a replica retry) at
@@ -442,19 +443,40 @@ class _Planner:
 
 def _plan_streams(planner: _Planner, arrivals: List[Arrival],
                   ) -> Tuple[Dict[_Node, List[Arrival]], int]:
-    """Route the traffic plan onto nodes; returns (streams, planned_ops)."""
+    """Route the traffic plan onto nodes; returns (streams, planned_ops).
+
+    Routing depends on an arrival's instant only through its membership
+    epoch (:meth:`ChaosSchedule.epoch_at`), so each page's target streams
+    are worked out once per epoch and reused for its later arrivals in
+    that epoch.  The epoch is looked up again, and the memo started
+    afresh, only when an arrival falls outside the current epoch's
+    window, so arrivals in any order route exactly as if each were
+    routed on its own.
+    """
     chaos = planner.chaos
     streams: Dict[_Node, List[Arrival]] = {
         (shard, 0): [] for shard in range(planner.scenario.shards)}
     for rejoin in chaos.rejoins:
         streams[(rejoin.shard, 1)] = []
+    #: The current epoch's page -> (write target streams, read target
+    #: streams), indexed by ``is_read``.
+    routes: Dict[int, Tuple[_Streams, _Streams]] = {}
+    start_us = end_us = 0.0
     planned_ops = 0
     for arrival in arrivals:
         time_us, _, page, is_read = arrival
-        nodes = planner.replica_nodes(page, time_us, is_read)
-        planned_ops += len(nodes)
-        for node in nodes:
-            streams[node].append(arrival)
+        if not start_us <= time_us < end_us:
+            start_us, end_us = chaos.epoch_at(time_us)
+            routes = {}
+        targets = routes.get(page)
+        if targets is None:
+            writes = [streams[node]
+                      for node in planner.replica_nodes(page, time_us)]
+            targets = routes[page] = (writes, writes[:1])
+        chosen = targets[is_read]
+        planned_ops += len(chosen)
+        for stream in chosen:
+            stream.append(arrival)
     return streams, planned_ops
 
 
@@ -465,7 +487,12 @@ def _plan_sync(planner: _Planner, arrivals: List[Arrival],
     background write on the rejoined incarnation warming the key back
     in, paired with one background source read on the first live shard
     still holding it.  Minimal-move by construction: only the
-    rejoiner's own keys travel."""
+    rejoiner's own keys travel.
+
+    The as-if-alive test of a page gives one answer per membership
+    epoch, so each page is tested at most once per epoch, with the same
+    epoch-window walk as :func:`_plan_streams`.
+    """
     chaos = planner.chaos
     ring = planner.ring
     replicas = planner.scenario.replicas
@@ -475,12 +502,21 @@ def _plan_sync(planner: _Planner, arrivals: List[Arrival],
         kill_us = chaos.kill_at(shard)
         assert kill_us is not None  # ChaosSchedule validated the pairing
         moved: Dict[int, None] = {}
+        #: Pages already tested in the current epoch.
+        tested: Set[int] = set()
+        as_if_alive: FrozenSet[int] = frozenset()
+        start_us = end_us = 0.0
         for time_us, _, page, _ in arrivals:
             if not kill_us <= time_us < rejoin.at_us or page in moved:
                 continue
+            if not start_us <= time_us < end_us:
+                start_us, end_us = chaos.epoch_at(time_us)
+                tested = set()
+                as_if_alive = chaos.dead_at(time_us) - {shard}
+            if page in tested:
+                continue
+            tested.add(page)
             # Would this key have lived on the rejoiner, had it been up?
-            as_if_alive = set(chaos.dead_at(time_us))
-            as_if_alive.discard(shard)
             if shard in ring.route_replicas(page, replicas,
                                             exclude=as_if_alive):
                 moved[page] = None

@@ -17,13 +17,16 @@ back.
 
 Every hash is SHA-256 (simlint SIM003: builtin ``hash()`` is salted per
 process and would make routing depend on ``PYTHONHASHSEED``).  The ring
-never changes after construction, so each page's start position on it
-is hashed once and memoised per ring.  Lookup with an exclusion set
-walks clockwise past excluded shards, so failover targets are exactly
-the next live owners on the circle.  A walk that runs out of shards —
-every shard excluded, or a replication factor above the live
-population — raises the typed :class:`~repro.cluster.errors.ClusterError`
-rather than looping or silently under-providing replicas.
+never changes after construction, so the first time a page is routed
+its whole clockwise walk is taken once and memoised per ring as the
+page's *walk order*: every shard, each at its first point at or
+clockwise of the page's hash.  Lookup with an exclusion set keeps the
+walk order's live shards, so failover targets are exactly the next live
+owners on the circle, and a lookup reads at most one entry per shard.
+A lookup that runs out of shards — every shard excluded, or a
+replication factor above the live population — raises the typed
+:class:`~repro.cluster.errors.ClusterError` rather than silently
+under-providing replicas.
 """
 
 from __future__ import annotations
@@ -65,10 +68,11 @@ class HashRing:
         self._points = points
         self._hashes = [position for position, _ in points]
         self._shard_set = frozenset(self.shard_ids)
-        #: page -> index of the first ring point at or clockwise of the
-        #: page's position.  The ring never changes after construction,
-        #: so this is a pure function of the page, hashed once per page.
-        self._starts: Dict[int, int] = {}
+        #: page -> every shard id in the order the clockwise walk from
+        #: the page's position first reaches it.  The ring never changes
+        #: after construction, so this is a pure function of the page,
+        #: walked once per page.
+        self._orders: Dict[int, Tuple[int, ...]] = {}
 
     def route(self, page: int, exclude: Iterable[int] = ()) -> int:
         """Owning shard for ``page``, skipping any shard in ``exclude``.
@@ -101,19 +105,28 @@ class HashRing:
                 f"cannot place {replicas} replicas on {live} live "
                 f"shard(s) ({len(self.shard_ids)} total, "
                 f"{len(excluded & self._shard_set)} excluded)")
-        points = self._points
-        start = self._starts.get(page)
-        if start is None:
-            start = self._starts[page] = bisect.bisect_left(
-                self._hashes, _point(f"page:{page}"))
+        order = self._orders.get(page)
+        if order is None:
+            order = self._orders[page] = self._walk(page)
         chosen: List[int] = []
+        for shard_id in order:
+            if shard_id not in excluded:
+                chosen.append(shard_id)
+                if len(chosen) == replicas:
+                    break
+        return tuple(chosen)
+
+    def _walk(self, page: int) -> Tuple[int, ...]:
+        """Every shard, in the order the clockwise walk from ``page``'s
+        position first reaches one of its points."""
+        points = self._points
+        start = bisect.bisect_left(self._hashes, _point(f"page:{page}"))
+        order: List[int] = []
+        total = len(self.shard_ids)
         for offset in range(len(points)):
-            position = (start + offset) % len(points)
-            shard_id = points[position][1]
-            if shard_id in excluded or shard_id in chosen:
-                continue
-            chosen.append(shard_id)
-            if len(chosen) == replicas:
-                return tuple(chosen)
-        raise ClusterError(  # pragma: no cover - guarded by `live` above
-            f"ring walk exhausted before placing {replicas} replicas")
+            shard_id = points[(start + offset) % len(points)][1]
+            if shard_id not in order:
+                order.append(shard_id)
+                if len(order) == total:
+                    break
+        return tuple(order)

@@ -41,7 +41,7 @@ from ..reliability import (
     ScrubConfig,
     Scrubber,
 )
-from ..workloads.trace import PAGE_BYTES, TraceRecord
+from ..workloads.trace import OP_READ, PAGE_BYTES, TraceRecord
 from .cache import FlashCacheConfig, FlashDiskCache
 from .controller import ControllerConfig, ProgrammableFlashController
 
@@ -277,9 +277,9 @@ class _SystemBase:
         # Branch once per record, but call through ``self`` for every
         # page, so instrumentation that wraps the methods sees each one.
         total = 0.0
-        first = record.page
-        pages = range(first, first + record.pages)
-        if record.is_read:
+        first, op, count, _ = record
+        pages = range(first, first + count)
+        if op == OP_READ:
             for page in pages:
                 total += self.read(page)
         else:

@@ -321,6 +321,19 @@ class FlashDevice:
         self._frames[key] = created
         return created
 
+    def _first_touch(self, address: PageAddress) -> _Frame:
+        """Materialise the frame ``address`` names, on its first access.
+
+        The address is checked first, so a refused access leaves no
+        frame behind for :meth:`wear_summary` to scan.
+        """
+        block, frame_index, subpage = address
+        if (block >= self._num_blocks
+                or frame_index >= self._frames_per_block
+                or (subpage and self.initial_mode is CellMode.SLC)):
+            self.geometry.validate_address(address, self.initial_mode)
+        return self._frame(block, frame_index)
+
     def _sampler(self, frame: _Frame) -> PageFailureSampler:
         if frame.sampler is None:
             frame.sampler = PageFailureSampler(
@@ -356,7 +369,9 @@ class FlashDevice:
         return self._erase_counts[block]
 
     def page_state(self, address: PageAddress) -> int:
-        frame = self._frame(address.block, address.frame)
+        frame = self._frames.get((address.block, address.frame))
+        if frame is None:
+            frame = self._first_touch(address)
         self.geometry.validate_address(address, frame.mode)
         return frame.states[address.subpage]
 
@@ -367,7 +382,7 @@ class FlashDevice:
         block, frame_index, subpage = address
         frame = self._frames.get((block, frame_index))
         if frame is None:
-            frame = self._frame(block, frame_index)
+            frame = self._first_touch(address)
         mode = frame.mode
         if (block >= self._num_blocks
                 or frame_index >= self._frames_per_block
@@ -412,7 +427,7 @@ class FlashDevice:
         block, frame_index, subpage = address
         frame = self._frames.get((block, frame_index))
         if frame is None:
-            frame = self._frame(block, frame_index)
+            frame = self._first_touch(address)
         mode = frame.mode
         if (block >= self._num_blocks
                 or frame_index >= self._frames_per_block

@@ -51,7 +51,7 @@ from typing import Any, Deque, Iterable, Iterator, Optional, Tuple
 from ..core.hierarchy import DramOnlySystem, FlashBackedSystem, PendingRequest
 from ..flash.channels import ChannelConfig, NandScheduler
 from ..telemetry import LatencyHistogram, Telemetry, TraceSampler
-from ..workloads.trace import TraceRecord
+from ..workloads.trace import OP_READ, TraceRecord
 from .engine import QueueingStats, SimulationReport, run_trace, \
     summarise_system
 from .events import EventLoop, EventType
@@ -179,9 +179,10 @@ class NodeEngine:
 
 def _expand(records: Iterable[TraceRecord]) -> Iterator[Tuple[int, bool]]:
     """Flatten records to (page, is_read) requests in trace order."""
-    for record in records:
-        for page in record.expand():
-            yield page, record.is_read
+    for first, op, pages, _ in records:
+        is_read = op == OP_READ
+        for page in range(first, first + pages):
+            yield page, is_read
 
 
 class _TraceWindow(NodeEngine):

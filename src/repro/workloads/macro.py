@@ -35,7 +35,8 @@ from .synthetic import (
     SyntheticConfig,
     UniformPopularity,
     ZipfPopularity,
-    _scatter,
+    _SCATTER_OFFSET,
+    _scatter_multiplier,
 )
 from .trace import OP_READ, OP_WRITE, PAGE_BYTES, TraceRecord
 
@@ -168,25 +169,26 @@ def generate_macro_trace(spec: MacroWorkloadSpec, num_records: int,
             f"footprint_pages must be at least 1, got {footprint_pages}")
     else:
         n = footprint_pages
-    rng = Random(seed)
-    distribution = spec.make_distribution(n)
+    # Lookups are bound once per trace, not once per record.
+    random = Random(seed).random
+    sample_rank = spec.make_distribution(n).sample_rank
+    read_fraction = spec.read_fraction
+    sequential_write_fraction = spec.sequential_write_fraction
+    multiplier = _scatter_multiplier(n)
     log_cursor = 0
     # Reserve the top 5% of the footprint as the sequential log region.
     log_region_start = n - max(n // 20, 1)
+    log_region_pages = n - log_region_start
     for index in range(num_records):
-        is_read = rng.random() < spec.read_fraction
-        if not is_read and rng.random() < spec.sequential_write_fraction:
-            page = log_region_start + log_cursor % (n - log_region_start)
+        is_read = random() < read_fraction
+        if not is_read and random() < sequential_write_fraction:
+            page = log_region_start + log_cursor % log_region_pages
             log_cursor += 1
-            yield TraceRecord(page=page, op=OP_WRITE, timestamp=index * 1e-4)
+            yield TraceRecord(page, OP_WRITE, 1, index * 1e-4)
             continue
-        rank = distribution.sample_rank(rng.random())
-        page = _scatter(rank, n)
-        yield TraceRecord(
-            page=page,
-            op=OP_READ if is_read else OP_WRITE,
-            timestamp=index * 1e-4,
-        )
+        page = (sample_rank(random()) * multiplier + _SCATTER_OFFSET) % n
+        yield TraceRecord(page, OP_READ if is_read else OP_WRITE, 1,
+                          index * 1e-4)
 
 
 def workload_footprint_pages(name: str) -> int:

@@ -145,6 +145,14 @@ class ExponentialPopularity(PopularityDistribution):
         return mass / (1.0 - self._tail)
 
 
+# Popularity ranks are spread across the address space by the bijective
+# affine map ``page = (rank * _scatter_multiplier(n) + _SCATTER_OFFSET)
+# % n``: multiplication by an odd constant modulo n is a bijection when
+# gcd(a, n) = 1, and the multiplier is nudged until that holds, once per
+# n.  The generators inline the map in their per-record loops.
+_SCATTER_OFFSET = 12_345
+
+
 @lru_cache(maxsize=64)
 def _scatter_multiplier(n: int) -> int:
     """Knuth's golden-ratio constant, nudged until it is coprime to n."""
@@ -152,15 +160,6 @@ def _scatter_multiplier(n: int) -> int:
     while math.gcd(multiplier, n) != 1:
         multiplier += 2
     return multiplier
-
-
-def _scatter(rank: int, n: int) -> int:
-    """Bijective affine map spreading popularity ranks across the space.
-
-    Multiplication by an odd constant modulo n is a bijection when
-    gcd(a, n) = 1; the multiplier is nudged until that holds, once per n.
-    """
-    return (rank * _scatter_multiplier(n) + 12_345) % n
 
 
 def generate_trace(distribution: PopularityDistribution,
@@ -171,13 +170,16 @@ def generate_trace(distribution: PopularityDistribution,
     micro-benchmarks stress the cache's skew response, not read/write
     locality differences).
     """
-    rng = Random(config.seed)
+    # Lookups are bound once per trace, not once per record.
+    random = Random(config.seed).random
+    sample_rank = distribution.sample_rank
+    read_fraction = config.read_fraction
     n = config.footprint_pages
+    multiplier = _scatter_multiplier(n)
     for index in range(config.num_records):
-        rank = distribution.sample_rank(rng.random())
-        page = _scatter(rank, n)
-        op = OP_READ if rng.random() < config.read_fraction else OP_WRITE
-        yield TraceRecord(page=page, op=op, timestamp=index * 1e-4)
+        page = (sample_rank(random()) * multiplier + _SCATTER_OFFSET) % n
+        op = OP_READ if random() < read_fraction else OP_WRITE
+        yield TraceRecord(page, op, 1, index * 1e-4)
 
 
 def uniform_trace(config: SyntheticConfig | None = None) -> List[TraceRecord]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List
+from typing import IO, Any, Iterable, Iterator, List, NamedTuple
 
 __all__ = [
     "OP_READ",
@@ -44,26 +44,44 @@ SECTOR_BYTES = 512
 _SECTORS_PER_PAGE = PAGE_BYTES // SECTOR_BYTES
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class _TraceRecordFields(NamedTuple):
+    page: int
+    op: str
+    pages: int = 1
+    timestamp: float = 0.0
+
+
+class TraceRecord(_TraceRecordFields):
     """One page-granular disk access.
 
     ``page`` is the logical block address divided down to 2KB pages —
     the unit the FlashCache hash table maps.  ``pages`` is the run length
     of the request (>= 1).  ``timestamp`` is seconds from trace start and
     may be 0 for generated traces replayed closed-loop.
+
+    A validated tuple: generators build hundreds of thousands of these
+    per trace, and a tuple costs less than half of a frozen dataclass to
+    construct and holds no ``__dict__``.  The hash is
+    ``hash((page, op, pages, timestamp))`` and the repr is
+    ``TraceRecord(page=..., op=..., pages=..., timestamp=...)``, what a
+    frozen dataclass with these fields produces.
     """
 
-    page: int
-    op: str
-    pages: int = 1
-    timestamp: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.op not in (OP_READ, OP_WRITE):
+    def __new__(cls, page: int, op: str, pages: int = 1,
+                timestamp: float = 0.0) -> "TraceRecord":
+        if op not in (OP_READ, OP_WRITE):
             raise ValueError(f"op must be '{OP_READ}' or '{OP_WRITE}'")
-        if self.page < 0 or self.pages < 1:
-            raise ValueError(f"invalid extent page={self.page} pages={self.pages}")
+        if page < 0 or pages < 1:
+            raise ValueError(f"invalid extent page={page} pages={pages}")
+        return tuple.__new__(cls, (page, op, pages, timestamp))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "TraceRecord":
+        # namedtuple's _make (and _replace, which calls it) bypasses
+        # __new__; route both through the validating constructor.
+        return cls(*iterable)
 
     @property
     def is_read(self) -> bool:

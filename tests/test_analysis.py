@@ -1403,7 +1403,8 @@ class TestCliAndMeta:
             [sys.executable, "-m", "mypy", "-p", "repro.core",
              "-p", "repro.parallel", "-p", "repro.cluster",
              "-m", "repro.sim.events", "-m", "repro.sim.concurrent",
-             "-m", "repro.flash.channels", "-m", "repro.flash.geometry"],
+             "-m", "repro.flash.channels", "-m", "repro.flash.geometry",
+             "-m", "repro.workloads.trace"],
             cwd=REPO_ROOT, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 

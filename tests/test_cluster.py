@@ -137,7 +137,7 @@ class TestHashRing:
            exclude=st.frozensets(st.integers(0, 6), max_size=6))
     def test_warm_ring_routes_like_a_fresh_one(self, warm, page, replicas,
                                                exclude):
-        """Memoised key positions never change a route or an error."""
+        """Memoised walk orders never change a route or an error."""
         def query(ring):
             try:
                 return ring.route_replicas(page, replicas, exclude=exclude)
@@ -182,6 +182,19 @@ class TestArrivals:
         assert intensity("drain", 1.0) == 0.0
         with pytest.raises(ValueError):
             intensity("nope", 0.5)
+
+    def test_unknown_pattern_is_refused_even_when_nothing_arrives(self):
+        """A run so short that no candidate lands must still name the
+        bad pattern, not quietly return an empty plan."""
+        with pytest.raises(ValueError) as expected:
+            intensity("bogus", 0.0)
+        with pytest.raises(ValueError) as raised:
+            sample_arrival_times("bogus", 1.0, 1e-6, 1)
+        assert str(raised.value) == str(expected.value)
+        with pytest.raises(ValueError) as raised:
+            build_arrivals("bogus", 1.0, 1e-6, "specweb99",
+                           footprint_pages=64, seed=1)
+        assert str(raised.value) == str(expected.value)
 
     def test_flash_crowd_bursts(self):
         times = sample_arrival_times("flash_crowd", 8000.0, 1.0, seed=4)

@@ -213,6 +213,27 @@ class TestAddressBounds:
         assert (device.stats.reads, device.stats.programs) == (0, 0)
         assert device.clock_us == 0.0
 
+    @pytest.mark.parametrize("initial_mode", [CellMode.MLC, CellMode.SLC])
+    def test_rejected_access_leaves_no_phantom_frame(self, small_geometry,
+                                                     initial_mode):
+        device = FlashDevice(geometry=small_geometry,
+                             initial_mode=initial_mode, seed=3)
+        device.program_page(PageAddress(2, 1, 0))
+        device.age_block(2, 5.0)
+        frames = dict(device._frames)
+        wear = device.wear_summary()
+        rejected = [PageAddress(0, 9, 0), PageAddress(8, 0, 0),
+                    PageAddress(9, 3, 0)]
+        if initial_mode is CellMode.SLC:
+            rejected.append(PageAddress(5, 2, 1))
+        for address in rejected:
+            for op in (device.read_page, device.program_page,
+                       device.page_state):
+                with pytest.raises(IndexError):
+                    op(address)
+        assert device._frames == frames
+        assert device.wear_summary() == wear
+
     def test_mlc_frame_takes_both_subpages(self, device):
         for subpage in (0, 1):
             address = PageAddress(7, 3, subpage)
